@@ -1,10 +1,10 @@
 // A1 — Common-coin ablation.
 //
 // The paper's ΠABA ([3,7]) builds a *common* coin from shunning-AVSS; our
-// substitute is a common-coin oracle (DESIGN.md). This ablation quantifies
-// why a common coin matters: replace it with Ben-Or-style private coins
-// (each party flips locally) and measure rounds-to-decide on adversarially
-// split inputs. With private coins, progress needs all honest coins to
+// substitute is a common-coin oracle (README, "Substrate substitutions").
+// This ablation quantifies why a common coin matters: replace it with
+// Ben-Or-style private coins (each party flips locally) and measure
+// rounds-to-decide on adversarially split inputs. With private coins, progress needs all honest coins to
 // coincide by luck — convergence degrades with n; with the common coin one
 // lucky round suffices.
 #include <memory>

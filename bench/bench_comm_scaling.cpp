@@ -3,16 +3,15 @@
 // Paper claims (bits sent by honest parties):
 //   ΠACast O(n² ℓ)          (Lemma 2.4)
 //   ΠBC    O(n² ℓ) for BGP; our phase-king substitute costs O(n³ ℓ) — the
-//          *documented* substitution gap (DESIGN.md), expected slope ≈ 3
+//          *documented* substitution gap (README, "Substrate
+//          substitutions"), expected slope ≈ 3
 //   ΠWPS   O(n² L + n⁴ log F)   (Thm 4.8; the banked ok-grid shares one SBA
 //          vector per round across all n² slots -> measured ≈ 3)
 //   ΠVSS   O(n³ L + n⁵ log F)   (Thm 4.16; banked -> measured ≈ 4)
 // We sweep n (ΠACast/ΠBC now up to n = 64, in all three scenario flavours:
 // synchronous, asynchronous, and crash-adversary), measure honest bits, fit
 // the log-log slope — and measure simulator *throughput* (events/sec), both
-// on the full protocol stack and on a pure message-plane flood that is also
-// run on the frozen PR 3 plane (bench/legacy_msgplane.hpp) for a
-// machine-portable before/after speedup ratio.
+// on the full protocol stack and on a pure message-plane flood.
 //
 // Since PR 5 it also measures the ok-verdict broadcast grid both ways in the
 // same binary: n² ΠBC slots on the slot-multiplexed BcBank versus n²
@@ -29,7 +28,6 @@
 
 #include "bench/bench_util.hpp"
 #include "bench/legacy_bcgrid.hpp"
-#include "bench/legacy_msgplane.hpp"
 #include "src/bcast/acast.hpp"
 #include "src/bcast/bc.hpp"
 #include "src/bcast/bc_bank.hpp"
@@ -184,7 +182,7 @@ double measure_vss(int n) {
 }
 
 // ---------------------------------------------------------------------------
-// Pure message-plane flood, identical workload on both planes: one hop-H
+// Pure message-plane flood: one hop-H
 // broadcast seeds it; each party re-broadcasts the FIRST message it sees of
 // each hop level, so every level costs exactly n send_alls = n² messages.
 // No field arithmetic, no protocol logic — events/sec here is the message
@@ -201,22 +199,6 @@ class Flood : public Instance {
     if (s) return;
     s = 1;
     send_all(m.type - 1, m.body);  // shares the in-flight payload
-  }
-
- private:
-  std::vector<char> seen_;
-};
-
-class LegacyFlood : public legacy::Instance {
- public:
-  LegacyFlood(legacy::Party& p, int levels)
-      : legacy::Instance(p, "flood"), seen_(static_cast<std::size_t>(levels + 1), 0) {}
-  void on_message(const legacy::Msg& m) override {
-    if (m.type <= 0) return;
-    auto& s = seen_[static_cast<std::size_t>(m.type)];
-    if (s) return;
-    s = 1;
-    send_all(m.type - 1, m.body);  // deep-copies per recipient, as PR 3 did
   }
 
  private:
@@ -280,7 +262,7 @@ FloodResult flood_heavy(int n, int levels, std::size_t ell, int threads) {
   return r;
 }
 
-FloodResult flood_new(int n, int levels, std::size_t ell) {
+FloodResult flood(int n, int levels, std::size_t ell) {
   NetConfig net;  // defaults: sync, round-crisp Δ = 1000
   auto t0 = std::chrono::steady_clock::now();
   Sim sim(n, net, /*seed=*/42);
@@ -288,22 +270,6 @@ FloodResult flood_new(int n, int levels, std::size_t ell) {
   std::vector<std::unique_ptr<Flood>> inst;
   for (int i = 0; i < n; ++i) inst.push_back(std::make_unique<Flood>(sim.party(i), levels));
   sim.party(0).at(0, [&] { sim.party(0).send_all("flood", levels, body); });
-  FloodResult r;
-  r.events = sim.run();
-  auto t1 = std::chrono::steady_clock::now();
-  r.events_per_sec =
-      static_cast<double>(r.events) / std::chrono::duration<double>(t1 - t0).count();
-  return r;
-}
-
-FloodResult flood_legacy(int n, int levels, std::size_t ell) {
-  NetConfig net;
-  auto t0 = std::chrono::steady_clock::now();
-  legacy::Sim sim(n, net, /*seed=*/42);
-  Bytes body(ell, 0xA5);
-  std::vector<std::unique_ptr<LegacyFlood>> inst;
-  for (int i = 0; i < n; ++i) inst.push_back(std::make_unique<LegacyFlood>(sim.party(i), levels));
-  sim.queue().at(0, [&] { sim.party(0).send_all("flood", levels, body); });
   FloodResult r;
   r.events = sim.run();
   auto t1 = std::chrono::steady_clock::now();
@@ -438,21 +404,14 @@ int main(int argc, char** argv) {
     metrics.push_back({"wps_bits_n32", wps32.bits});
   }
 
-  // Message-plane flood: identical workload on the PR 4 plane and the frozen
-  // PR 3 plane. The ratio is the plane-only speedup (machine-portable; the
-  // ISSUE 4 acceptance gate — >= 2x — rides on the n=16 ratio).
+  // Message-plane flood throughput (raw events/sec; the plane itself is
+  // pinned by the golden traces).
   bobw::bench::rule();
   for (int n : {16, 64}) {
     const int levels = n == 16 ? 1200 : 90;  // ~300-370k messages either way
-    FloodResult now = flood_new(n, levels, 256);
-    FloodResult old = flood_legacy(n, levels, 256);
-    const double speedup = now.events_per_sec / old.events_per_sec;
-    std::printf("msgplane flood n=%-2d: new %9.3g ev/s   legacy(pr3) %9.3g ev/s   speedup %.2fx\n",
-                n, now.events_per_sec, old.events_per_sec, speedup);
-    const std::string tag = "n" + std::to_string(n);
-    metrics.push_back({"msgplane_events_per_sec_" + tag, now.events_per_sec});
-    metrics.push_back({"msgplane_legacy_events_per_sec_" + tag, old.events_per_sec});
-    metrics.push_back({"msgplane_" + tag + "_speedup", speedup});
+    const FloodResult r = flood(n, levels, 256);
+    std::printf("msgplane flood n=%-2d: %9.3g ev/s\n", n, r.events_per_sec);
+    metrics.push_back({"msgplane_events_per_sec_n" + std::to_string(n), r.events_per_sec});
   }
 
   // Window-executor throughput: the protocol-weight flood at n = 64 on the
@@ -485,9 +444,10 @@ int main(int argc, char** argv) {
   bobw::bench::rule();
   std::printf(
       "'ours': BC pays +1 over the paper for the recursive-BGP -> phase-king\n"
-      "substitution (DESIGN.md); WPS/VSS pay -1 versus the paper's n^4/n^5\n"
-      "broadcast terms because the banked ok-grid shares one SBA vector per\n"
-      "round across all n^2 slots and groups identical verdict values.\n");
+      "substitution (README, \"Substrate substitutions\"); WPS/VSS pay -1\n"
+      "versus the paper's n^4/n^5 broadcast terms because the banked ok-grid\n"
+      "shares one SBA vector per round across all n^2 slots and groups\n"
+      "identical verdict values.\n");
 
   if (!json_path.empty()) bench::emit_json_section(json_path, "comm_scaling", metrics);
   return 0;

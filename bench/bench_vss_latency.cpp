@@ -9,7 +9,6 @@
 #include <memory>
 
 #include "bench/bench_util.hpp"
-#include "bench/legacy_vssbank.hpp"
 #include "bench/legacy_vssplanes.hpp"
 #include "src/bcast/bc_bank.hpp"
 #include "src/vss/vss.hpp"
@@ -55,11 +54,11 @@ Sample run_vss(int n, NetMode mode, Tick dealer_delay, std::uint64_t seed, int L
   return s;
 }
 
-/// One full ΠVSS sharing at production scale, with the executor thread count
-/// and phase-king schedule under test. Also reports the schedule-plane
-/// shape: how many shared Acast states and SBA schedules one sharing
-/// registered (the per-child wiring would pay 3n+4 and 3n+5), the total
-/// honest message count and the decode-cache hit rate.
+/// One full ΠVSS sharing at production scale on the given executor thread
+/// count. Also reports the schedule-plane shape: how many shared Acast
+/// states and SBA schedules one sharing registered (independent per-group
+/// banks would pay 4n+4 of each), the total honest message count and the
+/// decode-cache hit rate.
 struct BigSample {
   double wall_ms = 0;
   int outputs = 0;
@@ -69,10 +68,9 @@ struct BigSample {
   double decode_hit_rate = 0;
 };
 
-BigSample run_vss_big(int n, BgpMode bgp, int threads, std::uint64_t seed) {
+BigSample run_vss_big(int n, int threads, std::uint64_t seed) {
   const int ts = (n - 1) / 3;
   auto w = bench::make_world(n, ts, 0, NetMode::kSynchronous, nullptr, seed);
-  w.ctx = Ctx::make(n, ts, 0, 1000, w.coin.get(), bgp);
   w.sim->set_threads(threads);
   std::vector<std::unique_ptr<Vss>> inst(static_cast<std::size_t>(n));
   std::vector<char> done(static_cast<std::size_t>(n), 0);
@@ -102,61 +100,11 @@ BigSample run_vss_big(int n, BgpMode bgp, int threads, std::uint64_t seed) {
   return s;
 }
 
-/// Transport-only same-binary comparison: one sharing's complete ok-verdict
-/// traffic — n child grids at B+3Δ plus the dealer grid at B+Δ+T_WPS, n²
-/// slots each — through the mega-bank (one Acast window, two SBA schedules)
-/// vs the frozen per-child wiring (n+1 of each). Identical verdict bytes,
-/// identical Ctx; the quotient is the mega-bank's transport win.
-double run_ok_transport(int n, bool mega, std::uint64_t seed) {
-  const int ts = (n - 1) / 3;
-  auto w = bench::make_world(n, ts, 0, NetMode::kSynchronous, nullptr, seed);
-  const Tick child_start = 3 * w.ctx.delta;
-  const Tick dealer_start = w.ctx.delta + w.ctx.T.t_wps;
-  std::vector<int> grid(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
-    for (int j = 0; j < n; ++j) grid[static_cast<std::size_t>(i * n + j)] = i;
-  std::vector<std::unique_ptr<BcBank>> megas(static_cast<std::size_t>(n));
-  std::vector<std::unique_ptr<legacyvss::OkBanks>> legacy(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    if (mega) {
-      std::vector<BcBank::Group> groups;
-      groups.reserve(static_cast<std::size_t>(n) + 1);
-      for (int g = 0; g <= n; ++g)
-        groups.push_back({grid, g < n ? child_start : dealer_start, nullptr});
-      megas[static_cast<std::size_t>(i)] =
-          std::make_unique<BcBank>(w.party(i), "vss", std::move(groups), w.ctx);
-    } else {
-      legacy[static_cast<std::size_t>(i)] =
-          std::make_unique<legacyvss::OkBanks>(w.party(i), "vss", w.ctx, 0, nullptr);
-    }
-  }
-  const Bytes ok{0x01};  // all verdicts identical, the common honest case
-  for (int i = 0; i < n; ++i) {
-    auto bcast = [&, i](int g, int s) {
-      if (mega)
-        megas[static_cast<std::size_t>(i)]->broadcast(g, s, ok);
-      else
-        legacy[static_cast<std::size_t>(i)]->broadcast(g, s, ok);
-    };
-    w.party(i).at(child_start, [bcast, i, n] {
-      for (int g = 0; g < n; ++g)
-        for (int j = 0; j < n; ++j) bcast(g, i * n + j);
-    });
-    w.party(i).at(dealer_start, [bcast, i, n] {
-      for (int j = 0; j < n; ++j) bcast(n, i * n + j);
-    });
-  }
-  const auto t0 = std::chrono::steady_clock::now();
-  w.sim->run();
-  const auto t1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::milli>(t1 - t0).count();
-}
-
 /// Transport-only same-binary comparison over EVERY broadcast/BA layer of a
 /// sharing: the full plane traffic — ok grids, per-child and ΠVSS wef/★₂
 /// broadcasts, ΠBA input bits — through the 4n+4-group schedule plane (one
-/// Acast window, seven SBA schedules) vs the frozen PR 9 per-child wiring
-/// (3n+4 Acast windows, 3n+5 SBA schedules, bench/legacy_vssplanes.hpp).
+/// Acast window, seven SBA schedules) vs every group on its own bank (4n+4
+/// Acast windows and 4n+4 SBA schedules, bench/legacy_vssplanes.hpp).
 /// Identical bytes, identical Ctx; the quotient is the schedule-sharing win.
 double run_plane_transport(int n, bool shared, std::uint64_t seed) {
   const int ts = (n - 1) / 3;
@@ -265,56 +213,36 @@ int main(int argc, char** argv) {
   }
   bench::rule();
 
-  // Production scale: one n = 64 sharing on the mega-bank. Committee-mode
-  // phase-king (⌈log₂(t+2)⌉ = 5 phases instead of t+1 = 22) is the headline
-  // configuration — the single-digit-seconds target; the linear run shows
-  // the schedule cost it removes. Thread count 1 keeps the cache-rate
-  // metric deterministic.
+  // Production scale: one n = 64 sharing on the schedule plane with the
+  // t+1 = 22-phase phase-king. Thread count 1 keeps the cache-rate metric
+  // deterministic.
   std::printf("\nn = 64 sharing (sync, honest dealer) — the VSS schedule plane\n");
   bench::rule();
-  std::printf("%10s | %10s | %8s | %7s | %9s | %10s | %10s\n", "phase-king", "wall ms",
-              "outputs", "acasts", "SBA scheds", "msgs", "cache hit");
+  std::printf("%10s | %8s | %7s | %9s | %10s | %10s\n", "wall ms", "outputs", "acasts",
+              "SBA scheds", "msgs", "cache hit");
   bench::rule();
-  const BigSample committee = run_vss_big(64, BgpMode::kCommittee, 1, 5);
-  const BigSample linear = run_vss_big(64, BgpMode::kLinear, 1, 5);
-  std::printf("%10s | %10.0f | %8d | %7d | %9d | %10.3g | %9.1f%%\n", "committee",
-              committee.wall_ms, committee.outputs, committee.plane_acasts,
-              committee.sba_schedules, committee.msgs, 100 * committee.decode_hit_rate);
-  std::printf("%10s | %10.0f | %8d | %7d | %9d | %10.3g | %9.1f%%\n", "linear", linear.wall_ms,
-              linear.outputs, linear.plane_acasts, linear.sba_schedules, linear.msgs,
-              100 * linear.decode_hit_rate);
+  const BigSample big = run_vss_big(64, 1, 5);
+  std::printf("%10.0f | %8d | %7d | %9d | %10.3g | %9.1f%%\n", big.wall_ms, big.outputs,
+              big.plane_acasts, big.sba_schedules, big.msgs, 100 * big.decode_hit_rate);
   bench::rule();
-  metrics.push_back({"vss_wall_ms_n64", committee.wall_ms});
-  metrics.push_back({"vss_wall_ms_n64_linear", linear.wall_ms});
-  metrics.push_back({"vss_n64_ok_banks_delta", static_cast<double>(committee.plane_acasts)});
+  metrics.push_back({"vss_wall_ms_n64", big.wall_ms});
+  metrics.push_back({"vss_n64_ok_banks_delta", static_cast<double>(big.plane_acasts)});
   // Structural count, pinned EXACTLY in CI (--pin): one SBA schedule per
-  // distinct layer start time of a sharing — seven, independent of n. The
-  // per-child wiring paid 3n+5 = 197.
-  metrics.push_back({"vss_n64_sba_schedules", static_cast<double>(committee.sba_schedules)});
-  metrics.push_back({"vss_n64_msgs_per_sharing", committee.msgs});
-  metrics.push_back({"vss_n64_decode_hit_rate", committee.decode_hit_rate});
+  // distinct layer start time of a sharing — seven, independent of n.
+  metrics.push_back({"vss_n64_sba_schedules", static_cast<double>(big.sba_schedules)});
+  metrics.push_back({"vss_n64_msgs_per_sharing", big.msgs});
+  metrics.push_back({"vss_n64_decode_hit_rate", big.decode_hit_rate});
 
-  // Same-binary transport quotient: the sharing's ok-verdict traffic through
-  // the frozen per-child wiring (n+1 Acast windows + n+1 SBA schedules,
-  // bench/legacy_vssbank.hpp) vs the mega-bank (1 + 2). Gated in CI with a
-  // loose absolute floor (see compare_bench.py on speedup ratios).
-  const double mega_ms = run_ok_transport(64, /*mega=*/true, 6);
-  const double legacy_ms = run_ok_transport(64, /*mega=*/false, 6);
-  const double speedup = mega_ms > 0 ? legacy_ms / mega_ms : 0;
-  std::printf("ok-verdict transport n = 64: mega %.0f ms, per-child %.0f ms — %.1fx\n",
-              mega_ms, legacy_ms, speedup);
-  metrics.push_back({"vss_n64_speedup", speedup});
-
-  // Schedule-sharing v2 quotient: the SAME all-layers traffic — ok grids,
+  // Schedule-sharing quotient: the SAME all-layers traffic — ok grids,
   // wef/★₂ stars, BA bits — through the 4n+4-group plane (1 Acast window,
-  // 7 SBA schedules) vs the frozen PR 9 per-child wiring (3n+4 and 3n+5,
+  // 7 SBA schedules) vs one independent bank per group (4n+4 of each,
   // bench/legacy_vssplanes.hpp). Single-threaded, so the floor holds on
   // 1-core CI hosts too.
   const double plane_ms = run_plane_transport(64, /*shared=*/true, 7);
-  const double perchild_ms = run_plane_transport(64, /*shared=*/false, 7);
-  const double sched_speedup = plane_ms > 0 ? perchild_ms / plane_ms : 0;
-  std::printf("all-layers transport n = 64: plane %.0f ms, per-child %.0f ms — %.1fx\n",
-              plane_ms, perchild_ms, sched_speedup);
+  const double per_group_ms = run_plane_transport(64, /*shared=*/false, 7);
+  const double sched_speedup = plane_ms > 0 ? per_group_ms / plane_ms : 0;
+  std::printf("all-layers transport n = 64: plane %.0f ms, per-group banks %.0f ms — %.1fx\n",
+              plane_ms, per_group_ms, sched_speedup);
   metrics.push_back({"vss_n64_sched_share_speedup", sched_speedup});
 
   if (!json_path.empty()) bench::emit_json_section(json_path, "vss_latency", metrics);

@@ -39,8 +39,11 @@ depends on the metric class, inferred from its name:
                        higher is better. Cross-machine like raw wall-clock:
                        reported, gated only with --include-ns. The
                        machine-portable form of a throughput claim is its
-                       same-binary *_speedup ratio (see
-                       bench/legacy_msgplane.hpp), gated with --floor.
+                       same-binary *_speedup ratio (e.g.
+                       msgplane_mt_n64_speedup), gated with --floor.
+  *_hit_rate           cache hit rates in [0, 1], higher is better. Gated
+                       relative to the baseline at --max-regression, like
+                       deterministic metrics.
 
 --pin gates a metric in NEW.json on EXACT equality (machine-independent
 structural counts, e.g. SBA schedules per sharing: any drift is a protocol
@@ -78,6 +81,8 @@ def classify(name):
     """Return (direction, kind): direction +1 = higher-better, -1 = lower-better."""
     if name.endswith("_speedup"):
         return 1, "speedup"
+    if name.endswith("_hit_rate"):
+        return 1, "deterministic"
     if name.endswith("_per_sec") or "_per_sec_" in name:
         return 1, "raw-time"
     if name.endswith("_ns") or name.endswith("_ms") or "_ms_" in name or "_ns_" in name:

@@ -1,7 +1,6 @@
 // Frozen copy of the PR 4 per-pair ΠBC path — one Acast + one phase-king SBA
 // per broadcast instance — kept for same-binary differential tests and bench
-// comparison against the slot-multiplexed BcBank (the repo's ref:: /
-// legacy_msgplane idiom).
+// comparison against the slot-multiplexed BcBank (the repo's ref:: idiom).
 //
 // This is byte-for-byte the pre-bank src/bcast/bc.cpp composition: the
 // sender Acasts m at T0, every party joins a per-instance PhaseKing at

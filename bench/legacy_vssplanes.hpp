@@ -1,24 +1,14 @@
-// Frozen copy of the PR 9 per-child broadcast wiring of one ΠVSS sharing —
-// the (n+1)-group ok mega-bank plus a private wef-ΠBC, ★₂-ΠBC and ΠBA input
-// bank per child ΠWPS (and for ΠVSS itself) — kept for same-binary
-// differential tests and bench comparison against the single 4n+4-group
-// schedule plane (the repo's legacy_vssbank idiom, extended to every layer).
-//
-// This is exactly the PR 9 layout of src/vss/vss.cpp + wps.cpp: the ok
-// verdicts already rode one mega-bank (two SBA schedules), but each child
-// Π(j)WPS still owned a standalone 1-slot Bc for the dealer's (W,E,F), a
-// 1-slot Bc for (E',F') and an n-slot BcBank for its ΠBA input bits, and
-// ΠVSS owned one more of each — 3n+5 SBA schedules per sharing. The shared
-// plane must preserve every slot's ΠBC decision bit-for-bit while collapsing
-// the transport to ONE Acast window and SEVEN SBA schedules (one per
-// distinct layer start time); the differential suite in
-// tests/bc_bank_test.cpp drives both wirings with identical traffic and
-// compares per-slot handlers, ticks and outputs. Do not "fix" or
-// consolidate anything here; it exists to stay costly the old way.
-//
-// The (group, slot) surface uses the shared plane's group numbering (see
-// sharing_plane_groups below / the table in src/vss/vss.hpp) so
-// differential drivers are interchangeable.
+// Frozen reference wiring for the ΠVSS schedule plane: one sharing's
+// 4n+4 broadcast/BA groups (planelayout::sharing_plane_groups below, the
+// exact layout src/vss/vss.cpp builds) each on its OWN standalone
+// single-group BcBank — 4n+4 Acast windows and 4n+4 SBA schedules, where
+// the plane shares one Acast window and seven SBA schedules (one per
+// distinct layer start time). Every per-child and per-layer wiring the
+// plane replaced sits between these two extremes, so the differential suite
+// in tests/bc_bank_test.cpp (VssSchedulePlane.*) drives identical traffic
+// through both and demands per-slot handlers, ticks and outputs
+// tick-for-tick identical. Do not "fix" or consolidate anything here; it
+// exists to stay costly the old way.
 #pragma once
 
 #include <functional>
@@ -27,7 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "src/bcast/bc.hpp"
 #include "src/bcast/bc_bank.hpp"
 #include "src/core/timing.hpp"
 
@@ -86,118 +75,33 @@ inline std::vector<BcBank::Group> sharing_plane_groups(
 
 namespace legacyvss {
 
-/// One party's view of one sharing's broadcast layers, PR 9 per-child
-/// wiring: the ok mega-bank plus standalone wef/★₂/BA-input banks per child
-/// and for ΠVSS itself. Same (group, slot) surface as the shared plane.
+/// One party's view of one sharing's broadcast layers with every plane
+/// group on an independent bank. Same (group, slot) surface as the plane.
 class Planes {
  public:
   using Handler =
       std::function<void(int group, int slot, const std::optional<Bytes>& value, bool fallback)>;
 
   Planes(Party& party, const std::string& id, int dealer, const Ctx& ctx, Tick vss_base,
-         Handler handler)
-      : nn_(party.n()) {
-    const Tick child_ok = vss_base + 3 * ctx.delta;
-    const Tick child_accept = child_ok + 2 * ctx.T.t_bc;
-    const Tick ok_start = vss_base + ctx.delta + ctx.T.t_wps;
-    const Tick accept_time = ok_start + 2 * ctx.T.t_bc;
-    std::vector<int> grid(static_cast<std::size_t>(nn_) * static_cast<std::size_t>(nn_));
-    for (int i = 0; i < nn_; ++i)
-      for (int j = 0; j < nn_; ++j)
-        grid[static_cast<std::size_t>(i) * static_cast<std::size_t>(nn_) +
-             static_cast<std::size_t>(j)] = i;
-    std::vector<int> everyone(static_cast<std::size_t>(nn_));
-    for (int j = 0; j < nn_; ++j) everyone[static_cast<std::size_t>(j)] = j;
-
-    // PR 9 construction order: the (n+1)-group ok mega-bank first ...
-    std::vector<BcBank::Group> ok_groups;
-    ok_groups.reserve(static_cast<std::size_t>(nn_) + 1);
-    for (int g = 0; g <= nn_; ++g) {
-      ok_groups.push_back({grid, g < nn_ ? child_ok : ok_start,
-                           [handler, g](int slot, const std::optional<Bytes>& v, bool fb) {
-                             if (handler) handler(g, slot, v, fb);
-                           }});
-    }
-    ok_bank_ = std::make_unique<BcBank>(party, sub_id(id, "ok"), std::move(ok_groups), ctx);
-
-    // ... then each child's private wef Bc, ★₂ Bc and ΠBA input bank, in
-    // child order (matching the Wps constructor's member order) ...
-    wef_.reserve(static_cast<std::size_t>(nn_) + 1);
-    star2_.reserve(static_cast<std::size_t>(nn_) + 1);
-    ba_.reserve(static_cast<std::size_t>(nn_) + 1);
-    for (int j = 0; j < nn_; ++j) {
-      const std::string cid = sub_id(id, "wps:" + std::to_string(j));
-      wef_.push_back(std::make_unique<Bc>(
-          party, sub_id(cid, "wef"), j, ctx, child_ok + ctx.T.t_bc,
-          [handler, this, j](const std::optional<Bytes>& v, bool fb) {
-            if (handler) handler(nn_ + 1 + j, 0, v, fb);
-          }));
-      star2_.push_back(std::make_unique<Bc>(
-          party, sub_id(cid, "star2"), j, ctx, child_accept + ctx.T.t_ba,
-          [handler, this, j](const std::optional<Bytes>& v, bool fb) {
-            if (handler) handler(3 * nn_ + 1 + j, 0, v, fb);
-          }));
-      ba_.push_back(std::make_unique<BcBank>(
-          party, sub_id(sub_id(cid, "ba"), "bc"), everyone, ctx, child_accept,
-          [handler, this, j](int slot, const std::optional<Bytes>& v, bool fb) {
-            if (handler) handler(2 * nn_ + 1 + j, slot, v, fb);
-          }));
-    }
-
-    // ... then ΠVSS's own wef/★₂/BA layers (the Vss constructor's tail).
-    wef_.push_back(std::make_unique<Bc>(
-        party, sub_id(id, "wef"), dealer, ctx, ok_start + ctx.T.t_bc,
-        [handler, this](const std::optional<Bytes>& v, bool fb) {
-          if (handler) handler(4 * nn_ + 1, 0, v, fb);
-        }));
-    star2_.push_back(std::make_unique<Bc>(
-        party, sub_id(id, "star2"), dealer, ctx, accept_time + ctx.T.t_ba,
-        [handler, this](const std::optional<Bytes>& v, bool fb) {
-          if (handler) handler(4 * nn_ + 3, 0, v, fb);
-        }));
-    ba_.push_back(std::make_unique<BcBank>(
-        party, sub_id(sub_id(id, "ba"), "bc"), everyone, ctx, accept_time,
-        [handler, this](int slot, const std::optional<Bytes>& v, bool fb) {
-          if (handler) handler(4 * nn_ + 2, slot, v, fb);
-        }));
+         Handler handler) {
+    auto groups = planelayout::sharing_plane_groups(party.n(), dealer, vss_base, ctx,
+                                                    std::move(handler));
+    banks_.reserve(groups.size());
+    for (std::size_t g = 0; g < groups.size(); ++g)
+      banks_.push_back(std::make_unique<BcBank>(party, sub_id(id, std::to_string(g)),
+                                                std::move(groups[g].senders), ctx,
+                                                groups[g].start, std::move(groups[g].handler)));
   }
 
   void broadcast(int group, int slot, const Bytes& m) {
-    if (group <= nn_) {
-      ok_bank_->broadcast(group, slot, m);
-    } else if (group <= 2 * nn_) {
-      wef_[static_cast<std::size_t>(group - nn_ - 1)]->broadcast(m);
-    } else if (group <= 3 * nn_) {
-      ba_[static_cast<std::size_t>(group - 2 * nn_ - 1)]->broadcast(slot, m);
-    } else if (group <= 4 * nn_) {
-      star2_[static_cast<std::size_t>(group - 3 * nn_ - 1)]->broadcast(m);
-    } else if (group == 4 * nn_ + 1) {
-      wef_[static_cast<std::size_t>(nn_)]->broadcast(m);
-    } else if (group == 4 * nn_ + 2) {
-      ba_[static_cast<std::size_t>(nn_)]->broadcast(slot, m);
-    } else {
-      star2_[static_cast<std::size_t>(nn_)]->broadcast(m);
-    }
+    banks_[static_cast<std::size_t>(group)]->broadcast(slot, m);
   }
-
   std::optional<Bytes> output(int group, int slot) const {
-    if (group <= nn_) return ok_bank_->output(group, slot);
-    if (group <= 2 * nn_) return wef_[static_cast<std::size_t>(group - nn_ - 1)]->output();
-    if (group <= 3 * nn_) return ba_[static_cast<std::size_t>(group - 2 * nn_ - 1)]->output(slot);
-    if (group <= 4 * nn_) return star2_[static_cast<std::size_t>(group - 3 * nn_ - 1)]->output();
-    if (group == 4 * nn_ + 1) return wef_[static_cast<std::size_t>(nn_)]->output();
-    if (group == 4 * nn_ + 2) return ba_[static_cast<std::size_t>(nn_)]->output(slot);
-    return star2_[static_cast<std::size_t>(nn_)]->output();
+    return banks_[static_cast<std::size_t>(group)]->output(slot);
   }
-
-  int groups() const { return 4 * nn_ + 4; }
 
  private:
-  int nn_;
-  std::unique_ptr<BcBank> ok_bank_;              // groups 0..n
-  std::vector<std::unique_ptr<Bc>> wef_;         // [0..n-1] children, [n] ΠVSS
-  std::vector<std::unique_ptr<Bc>> star2_;       // [0..n-1] children, [n] ΠVSS
-  std::vector<std::unique_ptr<BcBank>> ba_;      // [0..n-1] children, [n] ΠVSS
+  std::vector<std::unique_ptr<BcBank>> banks_;  // one per plane group
 };
 
 }  // namespace legacyvss

@@ -2,12 +2,13 @@
 //
 // The paper's ΠABA ([3,7]) manufactures its coin from shunning-AVSS; that
 // tower is orthogonal to this paper's contribution, so we substitute a coin
-// oracle behind an interface (DESIGN.md §1). `IdealCoin` returns the same
-// unpredictable bit to every party per (instance, round); its first two
-// rounds are fixed to 1 then 0, which gives the Lemma 3.3 liveness profile:
-// unanimous-input executions decide within two rounds (a *fixed* deadline),
-// mixed-input executions decide almost-surely. ABA safety never depends on
-// coin unpredictability, so the substitution is property-preserving.
+// oracle behind an interface (README, "Substrate substitutions"). `IdealCoin`
+// returns the same unpredictable bit to every party per (instance, round);
+// its first two rounds are fixed to 1 then 0, which gives the Lemma 3.3
+// liveness profile: unanimous-input executions decide within two rounds (a
+// *fixed* deadline), mixed-input executions decide almost-surely. ABA safety
+// never depends on coin unpredictability, so the substitution is
+// property-preserving.
 // `LocalCoin` (per-party independent bits, Ben-Or style) is kept for
 // ablation benchmarks.
 #pragma once

@@ -573,13 +573,12 @@ std::shared_ptr<const SbaShared::BResult> SbaShared::round_b(const VidsPtr& prio
 }
 
 SbaShared::VidsPtr SbaShared::round_c(const VidsPtr& v, const FlagsPtr& locked,
-                                      const std::vector<VidsPtr>& kings) {
+                                      const VidsPtr& king) {
   assert(v && locked);
-  PtrKey key;
-  key.reserve(kings.size() + 2);
-  key.push_back(reinterpret_cast<std::uintptr_t>(v.get()));
-  key.push_back(reinterpret_cast<std::uintptr_t>(locked.get()));
-  for (const auto& p : kings) key.push_back(reinterpret_cast<std::uintptr_t>(p.get()));
+  if (!king) return v;
+  PtrKey key{reinterpret_cast<std::uintptr_t>(v.get()),
+             reinterpret_cast<std::uintptr_t>(locked.get()),
+             reinterpret_cast<std::uintptr_t>(king.get())};
   std::lock_guard<std::mutex> lock(mu_);
   auto it = round_c_.find(key);
   if (it != round_c_.end()) {
@@ -588,31 +587,11 @@ SbaShared::VidsPtr SbaShared::round_c(const VidsPtr& v, const FlagsPtr& locked,
   }
   stats_->misses.fetch_add(1, kRelaxed);
   Vids out(*v);
-  std::vector<Tally> tally;
-  for (int s = 0; s < K_; ++s) {
-    const auto us = static_cast<std::size_t>(s);
-    if ((*locked)[us]) continue;
-    // Plurality over the committee members' vectors at this slot, ties toward
-    // the lexicographically smaller value; a fully silent committee keeps v.
-    // With a singleton committee this is exactly "adopt the king if it spoke".
-    tally.clear();
-    for (const auto& kv : kings)
-      if (kv) add_tally(tally, (*kv)[us]);
-    std::uint32_t best = 0;
-    int best_c = 0;
-    for (const Tally& t : tally)
-      if (t.count > best_c || (t.count == best_c && best_c > 0 && value_less(t.vid, best))) {
-        best = t.vid;
-        best_c = t.count;
-      }
-    if (best_c > 0) out[us] = best;
-  }
+  for (std::size_t s = 0; s < out.size(); ++s)
+    if (!(*locked)[s]) out[s] = (*king)[s];
   VidsPtr res = canonical_vids_locked(std::move(out));
   ResultEntry<VidsPtr> entry;
-  entry.anchors.push_back(v);
-  entry.anchors.push_back(locked);
-  for (const auto& p : kings)
-    if (p) entry.anchors.push_back(p);
+  entry.anchors = {v, locked, king};
   entry.result = res;
   round_c_.emplace(std::move(key), std::move(entry));
   return res;

@@ -220,15 +220,15 @@ class SbaShared {
   ///  round_b: per slot, the most-supported non-⊥ vote2 value d with support
   ///           D (ties lex-min): locked = D >= n−t; v = d if D >= t+1, else
   ///           prior if locked, else ⊥;
-  ///  round_c: per slot, locked keeps v, else the plurality value over the
-  ///           king committee's vectors (ties lex-min; no king keeps v).
+  ///  round_c: per slot, locked keeps v, else the king's value; a null
+  ///           `king` (silent king) keeps v wholesale.
   VidsPtr round_a(const std::vector<VidsPtr>& vote1);
   struct BResult {
     VidsPtr v;
     FlagsPtr locked;
   };
   std::shared_ptr<const BResult> round_b(const VidsPtr& prior, const std::vector<VidsPtr>& vote2);
-  VidsPtr round_c(const VidsPtr& v, const FlagsPtr& locked, const std::vector<VidsPtr>& kings);
+  VidsPtr round_c(const VidsPtr& v, const FlagsPtr& locked, const VidsPtr& king);
 
   /// Encode `vids` as a phase-k wire vector (groups + most-frequent default,
   /// ties toward the smaller VALUE — vid order is interleaving-dependent and

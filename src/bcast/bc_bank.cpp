@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/bcast/phase_king.hpp"
-
 namespace bobw {
 
 // ------------------------------------------------------------ wire format ---
@@ -150,9 +148,8 @@ SbaBank::SbaBank(Party& party, std::string id, int K, const Ctx& ctx, Tick start
       t_(ctx.ts),
       start_(start_time),
       input_(std::move(input)),
-      shared_(SbaShared::get(party, this->id(), K, party.n(), ctx.ts)),
-      committees_(bgp::committees(ctx.bgp, ctx.ts, party.n())) {
-  phases_.resize(committees_.size());
+      shared_(SbaShared::get(party, this->id(), K, party.n(), ctx.ts)) {
+  phases_.resize(static_cast<std::size_t>(num_phases()));
   const Tick d = party_.sim().delta();
   at(start_, [this] {
     SbaShared::Vids v(static_cast<std::size_t>(K_), 0);
@@ -178,7 +175,6 @@ SbaBank::PhaseVotes& SbaBank::phase(int k) {
     const std::size_t words = (static_cast<std::size_t>(n()) + 63) / 64;
     ph.seen1.assign(words, 0);
     ph.seen2.assign(words, 0);
-    ph.king.resize(committees_[static_cast<std::size_t>(k - 1)].size());
   }
   return ph;
 }
@@ -189,13 +185,6 @@ bool SbaBank::mark_seen(std::vector<std::uint64_t>& mask, int from) {
   if (mask[word] & bit) return false;
   mask[word] |= bit;
   return true;
-}
-
-int SbaBank::committee_index(int k, int who) const {
-  const auto& c = committees_[static_cast<std::size_t>(k - 1)];
-  for (std::size_t i = 0; i < c.size(); ++i)
-    if (c[i] == who) return static_cast<int>(i);
-  return -1;
 }
 
 void SbaBank::on_message(const Msg& m) {
@@ -213,12 +202,9 @@ void SbaBank::on_message(const Msg& m) {
       if (!mark_seen(ph.seen2, m.from)) return;
       ph.vote2.push_back(exp->vids);
       return;
-    case kKing: {
-      const int idx = committee_index(k, m.from);
-      if (idx < 0 || ph.king[static_cast<std::size_t>(idx)]) return;
-      ph.king[static_cast<std::size_t>(idx)] = exp->vids;
+    case kKing:
+      if (m.from == king(k) && !ph.king) ph.king = exp->vids;
       return;
-    }
     default:
       return;
   }
@@ -236,7 +222,7 @@ void SbaBank::round_b_end(int k) {
   const auto res = shared_->round_b(v_, phase(k).vote2);
   v_ = res->v;
   locked_ = res->locked;
-  if (committee_index(k, self()) >= 0) send_vector(kKing, k, v_);
+  if (king(k) == self()) send_vector(kKing, k, v_);
 }
 
 void SbaBank::round_c_end(int k) {

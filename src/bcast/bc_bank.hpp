@@ -30,7 +30,7 @@
 //    verdicts cost O(1) values on the wire). Groups with equal start times
 //    share a schedule regardless of position: a ΠVSS sharing has seven
 //    distinct layer start times, so it needs exactly seven SBA schedules —
-//    independent of n — where the per-child wiring paid 3n+5.
+//    independent of n — where one bank per group would pay 4n+4.
 //  * BcBank composes the two and exposes per-(group, slot) broadcast() and
 //    handler semantics identical to Bc's. Bc itself is the one-group, K = 1
 //    wrapper.
@@ -45,10 +45,8 @@
 // Grid message count drops from O(K·n²) + O(K·n·t) per Δ-window to O(n) per
 // Δ-window: each party sends at most one coalesced Acast batch per window
 // and one SBA vector per round per schedule. The pre-bank per-pair path is
-// frozen in bench/legacy_bcgrid.hpp, the pre-mega-bank per-child-bank ok
-// wiring in bench/legacy_vssbank.hpp, and the pre-plane per-child
-// wef/★₂/BA wiring in bench/legacy_vssplanes.hpp, for same-binary
-// differentials.
+// frozen in bench/legacy_bcgrid.hpp and the one-bank-per-group VSS wiring in
+// bench/legacy_vssplanes.hpp, for same-binary differentials.
 #pragma once
 
 #include <functional>
@@ -174,7 +172,7 @@ class SbaBank : public Instance {
   /// intern_input). ΠBC reads each slot's Acast output at that moment.
   using InputProvider = std::function<std::uint32_t(int slot)>;
 
-  /// `ctx` supplies t (= ctx.ts) and the phase-king schedule (ctx.bgp).
+  /// `ctx` supplies t (= ctx.ts): t+1 phases, phase k's king is P_{(k−1) mod n}.
   SbaBank(Party& party, std::string id, int K, const Ctx& ctx, Tick start_time,
           InputProvider input);
 
@@ -204,14 +202,13 @@ class SbaBank : public Instance {
     std::vector<std::uint64_t> seen1, seen2;
     // Acceptance-ordered expansions — the round-result cache keys.
     std::vector<SbaShared::VidsPtr> vote1, vote2;
-    // Per committee member (singleton committee in kLinear mode).
-    std::vector<SbaShared::VidsPtr> king;
+    SbaShared::VidsPtr king;  // null until the phase's king speaks
   };
   PhaseVotes& phase(int k);
   bool mark_seen(std::vector<std::uint64_t>& mask, int from);
-  int num_phases() const { return static_cast<int>(committees_.size()); }
-  /// Index of `who` in phase k's committee, or -1.
-  int committee_index(int k, int who) const;
+  int num_phases() const { return t_ + 1; }
+  /// Phase k's king: P_{(k−1) mod n}.
+  int king(int k) const { return (k - 1) % n(); }
   void send_vector(int type, int k, const SbaShared::VidsPtr& vids);
 
   void round_a_end(int k);
@@ -222,7 +219,6 @@ class SbaBank : public Instance {
   Tick start_;
   InputProvider input_;
   std::shared_ptr<SbaShared> shared_;
-  std::vector<std::vector<int>> committees_;
 
   SbaShared::VidsPtr v_;        // current value per slot (vid 0 = ⊥)
   SbaShared::FlagsPtr locked_;  // per slot: D >= n−t this phase (null = none)

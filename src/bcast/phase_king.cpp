@@ -4,30 +4,6 @@
 
 namespace bobw {
 
-namespace bgp {
-
-std::vector<std::vector<int>> committees(BgpMode mode, int t, int n) {
-  std::vector<std::vector<int>> cs;
-  if (mode == BgpMode::kLinear) {
-    for (int k = 1; k <= t + 1; ++k) cs.push_back({(k - 1) % n});
-    return cs;
-  }
-  const int m = bgp_phases(mode, t);
-  int next = 0;
-  for (int k = 1; k <= m; ++k) {
-    std::vector<int> c;
-    for (int i = 0; i < (1 << (k - 1)) && next < n; ++i) c.push_back(next++);
-    cs.push_back(std::move(c));
-  }
-  return cs;
-}
-
-Tick duration(BgpMode mode, int t, Tick delta) {
-  return 3 * static_cast<Tick>(bgp_phases(mode, t)) * delta;
-}
-
-}  // namespace bgp
-
 namespace {
 Bytes encode_phase_value(int k, const Bytes& v) {
   Writer w;
@@ -48,13 +24,12 @@ bool decode_phase_value(const Bytes& body, int& k, Bytes& v) {
 }  // namespace
 
 PhaseKing::PhaseKing(Party& party, std::string id, int t, Tick start_time,
-                     InputProvider input, Handler on_output, BgpMode mode)
+                     InputProvider input, Handler on_output)
     : Instance(party, std::move(id)),
       t_(t),
       start_(start_time),
       input_(std::move(input)),
-      on_output_(std::move(on_output)),
-      committees_(bgp::committees(mode, t, party.n())) {
+      on_output_(std::move(on_output)) {
   const Tick d = party_.sim().delta();
   at(start_, [this] {
     v_ = input_ ? input_() : Bytes{};
@@ -66,12 +41,6 @@ PhaseKing::PhaseKing(Party& party, std::string id, int t, Tick start_time,
     at(base + 2 * d, [this, k] { round_b_end(k); });
     at(base + 3 * d, [this, k] { round_c_end(k); });
   }
-}
-
-bool PhaseKing::in_committee(int k, int who) const {
-  for (int m : committees_[static_cast<std::size_t>(k - 1)])
-    if (m == who) return true;
-  return false;
 }
 
 void PhaseKing::on_message(const Msg& m) {
@@ -88,7 +57,7 @@ void PhaseKing::on_message(const Msg& m) {
       ph.vote2.emplace(m.from, std::move(v));
       return;
     case kKing:
-      if (in_committee(k, m.from)) ph.king.emplace(m.from, std::move(v));
+      if (m.from == king(k) && !ph.king) ph.king = std::move(v);
       return;
     default:
       return;
@@ -126,27 +95,12 @@ void PhaseKing::round_b_end(int k) {
   } else if (!locked_) {
     v_ = Bytes{};  // ⊥ until the king speaks
   }
-  if (in_committee(k, self())) send_all(kKing, encode_phase_value(k, v_));
+  if (king(k) == self()) send_all(kKing, encode_phase_value(k, v_));
 }
 
 void PhaseKing::round_c_end(int k) {
-  if (!locked_) {
-    // Plurality over the committee members' KING values, ties toward the
-    // lexicographically smaller value (std::map iterates keys in order, so
-    // the first max IS the lex-min max). Every receiver that saw the same
-    // member messages adopts the same value; with a singleton committee this
-    // is exactly "adopt the king if it spoke".
-    std::map<Bytes, int> count;
-    for (const auto& [member, val] : phase(k).king) ++count[val];
-    Bytes best;
-    int best_c = 0;
-    for (const auto& [val, c] : count)
-      if (c > best_c) {
-        best = val;
-        best_c = c;
-      }
-    if (best_c > 0) v_ = best;  // silent committee (corrupt): keep current v
-  }
+  // A silent (corrupt) king leaves v unchanged.
+  if (!locked_ && phase(k).king) v_ = *phase(k).king;
   locked_ = false;
   if (k == num_phases()) finish();
   // Next phase's VOTE1 goes out now (same tick as this round's end).

@@ -13,39 +13,16 @@
 //                         king's value at the end of the phase.
 //  round C: king sends KING(v); parties that did not lock adopt it.
 //
-// BgpMode::kCommittee replaces the t+1 singleton kings with ⌈log₂(t+2)⌉
-// DISJOINT doubling committees (see src/core/timing.hpp for the exact
-// guarantee trade-off): every committee member sends KING(v), and receivers
-// adopt the plurality value over the member messages they saw, breaking ties
-// toward the lexicographically smaller value so all receivers of the same
-// message set agree. With singleton committees this reduces bit-for-bit to
-// the classic schedule.
-//
 // ⊥ is encoded as the empty byte string.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <optional>
-#include <vector>
 
-#include "src/core/timing.hpp"
 #include "src/sim/instance.hpp"
 
 namespace bobw {
-
-namespace bgp {
-
-/// The king committees for `mode`: kLinear gives t+1 singletons
-/// {(k−1) mod n}; kCommittee gives ⌈log₂(t+2)⌉ disjoint committees of
-/// doubling size 2^(k−1) over consecutive party ids (coverage 2^m − 1 ≥ t+1
-/// parties; 2t+1 < n with t < n/3 so the ids never wrap).
-std::vector<std::vector<int>> committees(BgpMode mode, int t, int n);
-
-/// 3Δ per phase; phases = committees().size().
-Tick duration(BgpMode mode, int t, Tick delta);
-
-}  // namespace bgp
 
 class PhaseKing : public Instance {
  public:
@@ -56,8 +33,7 @@ class PhaseKing : public Instance {
   /// `start_time`; the input is fetched from `input` exactly at start_time
   /// (ΠBC computes it from the Acast output at that moment).
   PhaseKing(Party& party, std::string id, int t, Tick start_time,
-            InputProvider input, Handler on_output,
-            BgpMode mode = BgpMode::kLinear);
+            InputProvider input, Handler on_output);
 
   static Tick duration(int t, Tick delta) { return 3 * static_cast<Tick>(t + 1) * delta; }
 
@@ -70,23 +46,22 @@ class PhaseKing : public Instance {
  private:
   struct Phase {
     std::map<int, Bytes> vote1, vote2;
-    /// KING values by committee member (singleton committee: one entry).
-    std::map<int, Bytes> king;
+    std::optional<Bytes> king;  // the first KING from this phase's king
   };
   Phase& phase(int k) { return phases_[k]; }
-  int num_phases() const { return static_cast<int>(committees_.size()); }
-  bool in_committee(int k, int who) const;
+  int num_phases() const { return t_ + 1; }
+  /// Phase k's king: P_{(k−1) mod n}.
+  int king(int k) const { return (k - 1) % n(); }
 
   void round_a_end(int k);  // tally VOTE1, send VOTE2
-  void round_b_end(int k);  // tally VOTE2, committee members send KING
-  void round_c_end(int k);  // adopt committee plurality if not locked
+  void round_b_end(int k);  // tally VOTE2, the king sends KING
+  void round_c_end(int k);  // adopt the king's value if not locked
   void finish();
 
   int t_;
   Tick start_;
   InputProvider input_;
   Handler on_output_;
-  std::vector<std::vector<int>> committees_;
   Bytes v_;            // current value (empty = ⊥)
   bool locked_ = false;  // this phase: D >= n−t, ignore king
   std::map<int, Phase> phases_;

@@ -40,8 +40,8 @@ struct MpcConfig {
   /// Hard stop (0 = none): simulation aborts after this many events.
   std::uint64_t max_events = 200'000'000ULL;
   /// Shard each Δ-window's parties across this many OS threads (see
-  /// src/sim/executor.hpp). Traces stay bit-identical at any value;
-  /// asynchronous mode ignores it (sequential fallback). 1 = sequential.
+  /// src/sim/executor.hpp), in both network modes. Traces stay
+  /// bit-identical at any value. 1 = sequential.
   int threads = 1;
   /// Executor tuning: smallest due-delivery window worth sharding
   /// (0 = library default). Tests and benches lower it to force the

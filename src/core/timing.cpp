@@ -2,10 +2,10 @@
 
 namespace bobw {
 
-Timing Timing::compute(int ts, Tick delta, BgpMode bgp) {
+Timing Timing::compute(int ts, Tick delta) {
   Timing t;
   t.delta = delta;
-  t.t_bgp = 3 * static_cast<Tick>(bgp_phases(bgp, ts)) * delta;
+  t.t_bgp = 3 * static_cast<Tick>(ts + 1) * delta;
   t.t_bc = 3 * delta + t.t_bgp;
   t.t_aba = 6 * delta;
   t.t_ba = t.t_bc + t.t_aba;
@@ -17,14 +17,13 @@ Timing Timing::compute(int ts, Tick delta, BgpMode bgp) {
   return t;
 }
 
-Ctx Ctx::make(int n, int ts, int ta, Tick delta, CoinSource* coin, BgpMode bgp) {
+Ctx Ctx::make(int n, int ts, int ta, Tick delta, CoinSource* coin) {
   Ctx c;
   c.n = n;
   c.ts = ts;
   c.ta = ta;
   c.delta = delta;
-  c.bgp = bgp;
-  c.T = Timing::compute(ts, delta, bgp);
+  c.T = Timing::compute(ts, delta);
   c.coin = coin;
   return c;
 }

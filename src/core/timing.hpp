@@ -1,7 +1,7 @@
 // All protocol deadlines of the paper, derived from Δ and (n, ts, ta).
 //
 // The structure mirrors the paper exactly; two constants differ because of
-// the documented substrate substitutions (DESIGN.md §1):
+// the documented substrate substitutions (README, "Substrate substitutions"):
 //   T_BGP: we run 3-round phase-king with t+1 phases, so T_BGP = 3(t+1)Δ
 //          (paper: recursive BGP with (12n−6)Δ);
 //   T_ABA: our ABA decides within 2 coin rounds on unanimous inputs, so
@@ -13,31 +13,6 @@
 namespace bobw {
 
 class CoinSource;  // ba/coin.hpp
-
-/// Phase-king schedule for the SBA layer (src/bcast/phase_king.*).
-///
-///  kLinear    — the default: t+1 phases, singleton king per phase. Full
-///               t < n/3 Byzantine resilience; T_BGP = 3(t+1)Δ.
-///  kCommittee — opt-in fast path: ⌈log₂(t+2)⌉ phases with DISJOINT
-///               doubling committees (sizes 1, 2, 4, …) acting as the king;
-///               T_BGP = 3⌈log₂(t+2)⌉Δ. Any phase whose committee contains
-///               a correct, non-silent party establishes agreement, so the
-///               schedule is t-resilient against fail-stop/silent faults
-///               (≤ t crashed parties cannot cover all committees). A
-///               Byzantine committee majority that equivocates can split a
-///               phase, so under full Byzantine behaviour this mode keeps
-///               validity and the deadline but only best-effort agreement —
-///               it is an optimistic fast path, NOT a replacement for the
-///               t+1-phase guarantee, and no deadline pin uses it by default.
-enum class BgpMode { kLinear, kCommittee };
-
-/// Number of phase-king phases under `mode` (3 rounds each).
-inline int bgp_phases(BgpMode mode, int t) {
-  if (mode == BgpMode::kLinear) return t + 1;
-  int m = 1;  // smallest m with 2^m - 1 >= t + 1: committees cover t+1 parties
-  while ((1 << m) - 1 < t + 1) ++m;
-  return m;
-}
 
 struct Timing {
   Tick delta = 0;
@@ -51,7 +26,7 @@ struct Timing {
   Tick t_tripsh = 0;   // ΠTripSh = T_ACS + 4Δ
   Tick t_tripgen = 0;  // ΠPreProcessing = T_TripSh + 2 T_BA + Δ
 
-  static Timing compute(int ts, Tick delta, BgpMode bgp = BgpMode::kLinear);
+  static Timing compute(int ts, Tick delta);
 };
 
 /// Shared per-run protocol context: thresholds, network bound, deadline
@@ -62,12 +37,10 @@ struct Ctx {
   int ts = 0;  // synchronous corruption threshold (BC/BA layer runs at t=ts)
   int ta = 0;  // asynchronous corruption threshold
   Tick delta = 1000;
-  BgpMode bgp = BgpMode::kLinear;
   Timing T;
   CoinSource* coin = nullptr;
 
-  static Ctx make(int n, int ts, int ta, Tick delta, CoinSource* coin,
-                  BgpMode bgp = BgpMode::kLinear);
+  static Ctx make(int n, int ts, int ta, Tick delta, CoinSource* coin);
 };
 
 }  // namespace bobw

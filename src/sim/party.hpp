@@ -124,11 +124,11 @@ class Sim {
   /// truncated run are partial and must not be read as protocol outcomes.
   bool truncated() const { return queue_.truncated(); }
 
-  /// Shard each Δ-window's parties across `threads` OS threads (synchronous
-  /// mode only; the async profile stays on the sequential engine). Traces
-  /// stay bit-identical at any thread count; `threads <= 1` restores the
-  /// plain sequential path. `min_batch` is the smallest due-delivery count
-  /// worth sharding (tests lower it to force every window parallel).
+  /// Shard each Δ-window's parties across `threads` OS threads (both network
+  /// modes). Traces stay bit-identical at any thread count; `threads <= 1`
+  /// restores the plain sequential path. `min_batch` is the smallest
+  /// due-delivery count worth sharding (tests lower it to force every window
+  /// parallel).
   void set_threads(int threads, std::size_t min_batch = 0);
   int threads() const;
 

@@ -15,7 +15,6 @@
 #include <gtest/gtest.h>
 
 #include "bench/legacy_bcgrid.hpp"
-#include "bench/legacy_vssbank.hpp"
 #include "bench/legacy_vssplanes.hpp"
 #include "src/bcast/bc.hpp"
 #include "src/bcast/bc_bank.hpp"
@@ -641,285 +640,20 @@ TEST(BcBank, PartitionThenHealExactlyMatchesPerPairGrid) {
                        std::make_shared<zoo::PartitionHeal>(sides, 6000), "partition-heal");
 }
 
-// ---- VSS mega-bank vs frozen per-child-bank wiring ------------------------
+// ---- schedule plane vs fully independent banks ----------------------------
 //
-// One ΠVSS sharing's ok-verdict space is the 3-D grid (child, i, j): the n
-// child-ΠWPS ok-grids share one start (B+3Δ) and the dealer grid starts at
-// B+Δ+T_WPS. The mega-bank rides ONE BcBank — one Acast coalescing window,
-// two SBA schedules — where the frozen pre-PR 9 wiring
-// (bench/legacy_vssbank.hpp) paid n+1 separate banks. Both planes are
-// bank-backed, so every adversary that garbles coalesced batches applies to
-// both unchanged; the differential drives identical verdict traffic through
-// both and demands per-(group, slot) records tick-for-tick identical.
-
-/// Verdict a test sender broadcasts on (group, slot): distinct per pair.
-Bytes vss_value(int group, int slot) {
-  return Bytes{static_cast<std::uint8_t>(0xB0 + group), static_cast<std::uint8_t>(0xA0 + slot),
-               static_cast<std::uint8_t>(slot * 7 + 1)};
-}
+// One ΠVSS sharing runs 4n+4 broadcast/BA groups (planelayout::
+// sharing_plane_groups — the exact layout src/vss/vss.cpp builds): the n
+// child-ΠWPS ok grids and the dealer ok grid, per-child and ΠVSS wef/★₂
+// broadcasts, and the ΠBA input bits. The plane rides one Acast window and
+// seven SBA schedules; the frozen reference (bench/legacy_vssplanes.hpp)
+// puts every group on its own bank — 4n+4 of each. The differential drives
+// identical traffic across all layers through both wirings and demands
+// per-(group, slot) records tick-for-tick identical: regular outputs,
+// decision ticks, fallback switches, finals.
 
 Tick vss_child_start(const Ctx& ctx, Tick base) { return base + 3 * ctx.delta; }
 Tick vss_dealer_start(const Ctx& ctx, Tick base) { return base + ctx.delta + ctx.T.t_wps; }
-
-/// Records flattened over the (group, slot) space: index g*n² + s.
-struct MegaRun {
-  std::vector<std::unique_ptr<BcBank>> inst;  // per party
-  Records rec;
-
-  MegaRun(test::World& w, Tick vss_base) : rec(w.n(), (w.n() + 1) * w.n() * w.n()) {
-    const int n = w.n(), K = n * n;
-    auto grid = grid_senders(n);
-    const Tick child_start = vss_child_start(w.ctx, vss_base);
-    const Tick dealer_start = vss_dealer_start(w.ctx, vss_base);
-    inst.resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      if (!w.runs_code(i)) continue;
-      auto* world = &w;
-      auto* recs = &rec;
-      std::vector<BcBank::Group> groups;
-      groups.reserve(static_cast<std::size_t>(n) + 1);
-      for (int g = 0; g <= n; ++g) {
-        int p = i, grp = g;
-        groups.push_back({grid, g < n ? child_start : dealer_start,
-                          [recs, world, p, grp, K](int slot, const std::optional<Bytes>& v,
-                                                   bool fb) {
-                            SlotRecord& sr = recs->at(p, grp * K + slot);
-                            if (fb) {
-                              sr.fallback = v;
-                              sr.fallback_time = world->sim->now();
-                            } else {
-                              sr.regular = v;
-                              sr.regular_time = world->sim->now();
-                            }
-                          }});
-      }
-      inst[static_cast<std::size_t>(i)] =
-          std::make_unique<BcBank>(w.party(i), "vss", std::move(groups), w.ctx);
-    }
-  }
-
-  void broadcast(int i, int g, int s, const Bytes& m) {
-    inst[static_cast<std::size_t>(i)]->broadcast(g, s, m);
-  }
-
-  void capture_finals(test::World& w) {
-    const int n = w.n(), K = n * n;
-    for (int i = 0; i < n; ++i) {
-      if (!inst[static_cast<std::size_t>(i)]) continue;
-      for (int g = 0; g <= n; ++g)
-        for (int s = 0; s < K; ++s)
-          rec.at(i, g * K + s).final_out = inst[static_cast<std::size_t>(i)]->output(g, s);
-    }
-  }
-};
-
-struct LegacyVssRun {
-  std::vector<std::unique_ptr<legacyvss::OkBanks>> inst;  // per party
-  Records rec;
-
-  LegacyVssRun(test::World& w, Tick vss_base) : rec(w.n(), (w.n() + 1) * w.n() * w.n()) {
-    const int n = w.n(), K = n * n;
-    inst.resize(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i) {
-      if (!w.runs_code(i)) continue;
-      auto* world = &w;
-      auto* recs = &rec;
-      int p = i;
-      inst[static_cast<std::size_t>(i)] = std::make_unique<legacyvss::OkBanks>(
-          w.party(i), "vss", w.ctx, vss_base,
-          [recs, world, p, K](int group, int slot, const std::optional<Bytes>& v, bool fb) {
-            SlotRecord& sr = recs->at(p, group * K + slot);
-            if (fb) {
-              sr.fallback = v;
-              sr.fallback_time = world->sim->now();
-            } else {
-              sr.regular = v;
-              sr.regular_time = world->sim->now();
-            }
-          });
-    }
-  }
-
-  void broadcast(int i, int g, int s, const Bytes& m) {
-    inst[static_cast<std::size_t>(i)]->broadcast(g, s, m);
-  }
-
-  void capture_finals(test::World& w) {
-    const int n = w.n(), K = n * n;
-    for (int i = 0; i < n; ++i) {
-      if (!inst[static_cast<std::size_t>(i)]) continue;
-      for (int g = 0; g <= n; ++g)
-        for (int s = 0; s < K; ++s)
-          rec.at(i, g * K + s).final_out = inst[static_cast<std::size_t>(i)]->output(g, s);
-    }
-  }
-};
-
-/// Full honest verdict traffic: every live party i fills its row of every
-/// child grid at the children's start and of the dealer grid at the dealer
-/// start — the shape ΠVSS produces when all ok-verdicts fire on schedule.
-template <typename Run>
-void drive_vss_traffic(test::World& w, Run& run, Tick vss_base) {
-  const int n = w.n();
-  const Tick child_start = vss_child_start(w.ctx, vss_base);
-  const Tick dealer_start = vss_dealer_start(w.ctx, vss_base);
-  for (int i = 0; i < n; ++i) {
-    if (!w.runs_code(i)) continue;
-    w.party(i).at(child_start, [&run, i, n] {
-      for (int g = 0; g < n; ++g)
-        for (int j = 0; j < n; ++j) run.broadcast(i, g, i * n + j, vss_value(g, i * n + j));
-    });
-    w.party(i).at(dealer_start, [&run, i, n] {
-      for (int j = 0; j < n; ++j) run.broadcast(i, n, i * n + j, vss_value(n, i * n + j));
-    });
-  }
-}
-
-void run_vss_differential(std::shared_ptr<Adversary> mega_adv,
-                          std::shared_ptr<Adversary> legacy_adv, const char* tag,
-                          Tick vss_base = 0, std::uint64_t seed = 42) {
-  const int n = 4, ts = 1;
-  auto wm = make_world(n, ts, 0, NetMode::kSynchronous, std::move(mega_adv), seed);
-  MegaRun mega(wm, vss_base);
-  drive_vss_traffic(wm, mega, vss_base);
-  wm.sim->run();
-  mega.capture_finals(wm);
-
-  auto wl = make_world(n, ts, 0, NetMode::kSynchronous, std::move(legacy_adv), seed);
-  LegacyVssRun legacy(wl, vss_base);
-  drive_vss_traffic(wl, legacy, vss_base);
-  wl.sim->run();
-  legacy.capture_finals(wl);
-
-  expect_identical(mega.rec, legacy.rec, n, (n + 1) * n * n, tag);
-}
-
-TEST(VssMegaBank, CrispSyncExactlyMatchesPerChildBanks) {
-  const int n = 4, ts = 1;
-  auto wm = make_world(n, ts, 0, NetMode::kSynchronous);
-  MegaRun mega(wm, 0);
-  drive_vss_traffic(wm, mega, 0);
-  wm.sim->run();
-  mega.capture_finals(wm);
-  const auto mega_msgs = wm.sim->metrics().honest_msgs();
-  // One sharing, one Acast transport: exactly one shared Acast state.
-  int mega_banks = 0;
-  for (const auto& k : wm.sim->shared_state_keys())
-    if (k.rfind("acast|", 0) == 0) ++mega_banks;
-  EXPECT_EQ(mega_banks, 1);
-
-  auto wl = make_world(n, ts, 0, NetMode::kSynchronous);
-  LegacyVssRun legacy(wl, 0);
-  drive_vss_traffic(wl, legacy, 0);
-  wl.sim->run();
-  legacy.capture_finals(wl);
-  const auto legacy_msgs = wl.sim->metrics().honest_msgs();
-  int legacy_banks = 0;
-  for (const auto& k : wl.sim->shared_state_keys())
-    if (k.rfind("acast|", 0) == 0) ++legacy_banks;
-  EXPECT_EQ(legacy_banks, n + 1);
-
-  expect_identical(mega.rec, legacy.rec, n, (n + 1) * n * n, "vss-crisp");
-  // n+1 Acast windows + n+1 SBA schedules collapse to 1 + 2.
-  EXPECT_GE(legacy_msgs, 2 * mega_msgs) << legacy_msgs << " vs " << mega_msgs;
-}
-
-TEST(VssMegaBank, StaggeredWindowsAndLateVerdictsExactMatch) {
-  // Mid-window verdicts (waiting for the next flush boundary), one verdict so
-  // late it can only land through fallback, and one slot never started: every
-  // divergence between coalesced and per-child transports would show here.
-  const int n = 4, ts = 1;
-  for (Tick vss_base : {Tick{0}, Tick{500}}) {
-    auto drive = [&](auto& run, test::World& w) {
-      const Tick child_start = vss_child_start(w.ctx, vss_base);
-      const Tick dealer_start = vss_dealer_start(w.ctx, vss_base);
-      const Tick half = w.ctx.delta / 2;
-      for (int i = 0; i < n; ++i) {
-        // Stagger child verdicts across window offsets by sender parity.
-        const Tick when = child_start + (i % 2 ? half : 0);
-        w.party(i).at(when, [&run, i, n] {
-          for (int g = 0; g < n; ++g)
-            for (int j = 0; j < n; ++j) {
-              if (g == 0 && i == 2 && j == 3) continue;  // never started -> ⊥
-              run.broadcast(i, g, i * n + j, vss_value(g, i * n + j));
-            }
-        });
-        // Dealer-grid row: party 3's arrives after the regular deadline and
-        // must surface as a fallback switch in both planes.
-        const Tick dwhen =
-            i == 3 ? dealer_start + w.ctx.T.t_bc + 2 * w.ctx.delta : dealer_start;
-        w.party(i).at(dwhen, [&run, i, n] {
-          for (int j = 0; j < n; ++j) run.broadcast(i, n, i * n + j, vss_value(n, i * n + j));
-        });
-      }
-    };
-
-    auto wm = make_world(n, ts, 0, NetMode::kSynchronous);
-    MegaRun mega(wm, vss_base);
-    drive(mega, wm);
-    wm.sim->run();
-    mega.capture_finals(wm);
-
-    auto wl = make_world(n, ts, 0, NetMode::kSynchronous);
-    LegacyVssRun legacy(wl, vss_base);
-    drive(legacy, wl);
-    wl.sim->run();
-    legacy.capture_finals(wl);
-
-    expect_identical(mega.rec, legacy.rec, n, (n + 1) * n * n, "vss-staggered");
-    // The late dealer-row verdicts really did fall back somewhere.
-    bool saw_fallback = false;
-    for (int p = 0; p < n; ++p)
-      for (int j = 0; j < n; ++j)
-        if (mega.rec.at(p, n * n * n + 3 * n + j).fallback) saw_fallback = true;
-    EXPECT_TRUE(saw_fallback);
-    // The never-started slot is ⊥ everywhere.
-    for (int p = 0; p < n; ++p) {
-      ASSERT_TRUE(mega.rec.at(p, 2 * n + 3).regular);
-      EXPECT_FALSE(*mega.rec.at(p, 2 * n + 3).regular);
-      EXPECT_FALSE(mega.rec.at(p, 2 * n + 3).final_out);
-    }
-  }
-}
-
-TEST(VssMegaBank, CrashedPartyExactMatch) {
-  // Party 1 crashes outright: its verdict rows stay ⊥ in every grid, all
-  // other slots decide normally — identically in both wirings.
-  run_vss_differential(test::crash({1}), test::crash({1}), "vss-crash");
-}
-
-TEST(VssMegaBank, ByzantineEquivocatorExactMatch) {
-  // Both planes speak the coalesced batch format, so the same per-recipient
-  // INIT garbling applies unchanged to either.
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    auto madv = std::make_shared<BankEquivocator>();
-    madv->corrupt(0);
-    auto ladv = std::make_shared<BankEquivocator>();
-    ladv->corrupt(0);
-    run_vss_differential(std::move(madv), std::move(ladv), "vss-equivocator", 0, seed);
-  }
-}
-
-TEST(VssMegaBank, ZooSchedulersExactMatch) {
-  // Deterministic adversarial scheduling (no RNG draws): starving one victim
-  // and a healed partition must leave both wirings tick-for-tick identical.
-  run_vss_differential(std::make_shared<zoo::TargetedDelay>(2, 3000),
-                       std::make_shared<zoo::TargetedDelay>(2, 3000), "vss-targeted-delay");
-  const std::vector<std::uint8_t> sides{0, 0, 1, 1};
-  run_vss_differential(std::make_shared<zoo::PartitionHeal>(sides, 6000),
-                       std::make_shared<zoo::PartitionHeal>(sides, 6000), "vss-partition");
-}
-
-// ---- schedule plane (v2) vs frozen PR 9 per-child wiring ------------------
-//
-// Schedule-sharing v2 extends the ok mega-bank to EVERY broadcast/BA layer
-// of a sharing: the 4n+4-group plane (planelayout::sharing_plane_groups —
-// the exact layout src/vss/vss.cpp builds) rides one Acast window and seven
-// SBA schedules where the PR 9 wiring (bench/legacy_vssplanes.hpp) paid
-// 3n+4 and 3n+5. The differential drives identical traffic across all
-// layers — ok grids, per-child and ΠVSS wef/★₂ broadcasts, ΠBA input bits —
-// through both wirings and demands per-(group, slot) records tick-for-tick
-// identical: regular outputs, decision ticks, fallback switches, finals.
 
 /// Value a test sender broadcasts on plane (group, slot): distinct per pair.
 Bytes plane_value(int group, int slot) {
@@ -1130,8 +864,8 @@ TEST(VssSchedulePlane, CrispSyncExactlyMatchesPerChildWiring) {
     if (k.rfind("acast|", 0) == 0) ++legacy_acasts;
     if (k.rfind("sba|", 0) == 0) ++legacy_sbas;
   }
-  EXPECT_EQ(legacy_acasts, 3 * n + 4);
-  EXPECT_EQ(legacy_sbas, 3 * n + 5);
+  EXPECT_EQ(legacy_acasts, 4 * n + 4);
+  EXPECT_EQ(legacy_sbas, 4 * n + 4);
 
   expect_identical(plane.rec, legacy.rec, n, plane_total_slots(n), "plane-crisp");
   EXPECT_GE(legacy_msgs, 2 * plane_msgs) << legacy_msgs << " vs " << plane_msgs;

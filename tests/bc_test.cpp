@@ -185,6 +185,58 @@ TEST(Bc, AsyncFallbackConsistencyCorruptSender) {
   }
 }
 
+TEST(Bc, SyncConsistencyWhenNonKingForgesKingVectors) {
+  // n = 4, ts = 1: the SBA kings are P0 and P1. Corrupt P3 is the sender and
+  // never king. It starts one Δ late, so the Acast delivers m at T0+4Δ to
+  // everyone — after the SBA read its inputs at T0+3Δ. Every SBA input is
+  // ⊥, nobody locks, and each phase's outcome is the KING vector a party
+  // accepted. P3 retypes each VOTE2 as a well-formed KING for the same
+  // phase that is wrap(m) for P0 and ⊥ for everyone else; it arrives a
+  // round before the real king's, so only the king-sender check keeps P0's
+  // regular output from being m while the others' is ⊥.
+  const Bytes m{0x3C, 0x3D};
+  class ForgedKing : public Adversary {
+   public:
+    explicit ForgedKing(Bytes m) : m_(std::move(m)) {}
+    bool participates(int) const override { return true; }
+    bool filter_outgoing(Msg& msg, Rng&) override {
+      if (msg.type != SbaBank::kVote2 || route_name(msg) != "bc/sba") return true;
+      auto vote = bcwire::decode_sba(msg.body);
+      if (!vote) return true;
+      bcwire::SbaMsg king;
+      king.k = vote->k;
+      if (msg.to == 0) {
+        king.def = Bytes{0x01};  // the SBA encoding of value m: 0x01 || m
+        king.def.insert(king.def.end(), m_.begin(), m_.end());
+      }
+      msg.type = SbaBank::kKing;
+      msg.body = bcwire::encode_sba(king);
+      return true;
+    }
+
+   private:
+    Bytes m_;
+  };
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    auto adv = std::make_shared<ForgedKing>(m);
+    adv->corrupt(3);
+    const int n = 4, ts = 1;
+    auto w = make_world(n, ts, 0, NetMode::kSynchronous, adv, seed);
+    BcRun run(w, 3, 0);
+    w.party(3).at(w.ctx.delta, [&] { run.inst[3]->broadcast(m); });
+    w.sim->run();
+    std::optional<std::optional<Bytes>> agreed;
+    for (int i = 0; i < 3; ++i) {
+      const auto& regular = run.regular[static_cast<std::size_t>(i)];
+      ASSERT_TRUE(regular) << i;
+      if (agreed) {
+        EXPECT_EQ(*agreed, *regular) << "seed " << seed;
+      }
+      agreed = *regular;
+    }
+  }
+}
+
 TEST(Bc, StartTimeOffsetShiftsDeadline) {
   const int n = 4, ts = 1;
   auto w = make_world(n, ts, 0, NetMode::kSynchronous);

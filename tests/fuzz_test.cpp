@@ -167,9 +167,9 @@ TEST(FuzzDriver, Block) {
     EXPECT_GT(cov.mobile, 0) << "mobile corruption never sampled";
     EXPECT_GT(cov.dealer_corrupt, 0) << "party 0 (the VSS dealer) never corrupt";
     // The schedule plane multiplexes every broadcast/BA layer of a sharing
-    // through one bank; a corrupt dealer at committee scale (n >= 6) is the
-    // scenario most likely to skew one layer relative to another, so the
-    // block must sample it.
+    // through one bank; a corrupt dealer at n >= 6 is the scenario most
+    // likely to skew one layer relative to another, so the block must sample
+    // it.
     EXPECT_GT(cov.vss_big_corrupt_dealer, 0)
         << "no VSS scenario at n >= 6 with a corrupt dealer sampled";
   }

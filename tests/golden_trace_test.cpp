@@ -4,13 +4,11 @@
 // had to preserve the full trace bit-for-bit. The PR 5 broadcast bank
 // changes the message flow BY DESIGN (n² ok-verdict ΠBC instances collapse
 // into shared coalesced Acast batches and one SBA vector per round), and the
-// VSS mega-bank collapses further (one sharing's n+1 per-child banks ride
-// ONE Acast window and two SBA schedules — bench/legacy_vssbank.hpp freezes
-// the per-child wiring), and the PR 10 schedule plane collapses the rest
-// (every wef/★₂/BA layer of a sharing rides the same bank: one Acast
-// window, seven SBA schedules — bench/legacy_vssplanes.hpp freezes the PR 9
-// wiring), so the communication/event counts below are re-pinned on the
-// full schedule plane. What must NOT move versus the frozen
+// VSS schedule plane collapses further (every broadcast/BA layer of a
+// sharing rides one bank: one Acast window, seven SBA schedules —
+// bench/legacy_vssplanes.hpp keeps the one-bank-per-group reference), so
+// the communication/event counts below are re-pinned on the full schedule
+// plane. What must NOT move versus the frozen
 // per-pair path (bench/legacy_bcgrid.hpp, captured by the PR 4 pins):
 //   * every party's output and input_cs, in every scenario;
 //   * synchronous finish times and end time — the bank flushes at exactly

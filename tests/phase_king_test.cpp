@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/bcast/phase_king.hpp"
+#include "src/common/codec.hpp"
 #include "tests/harness.hpp"
 
 namespace bobw {
@@ -98,6 +99,51 @@ TEST(PhaseKing, ValidityUnderActiveLiesUnanimousHonest) {
     if (!w.honest(i)) continue;
     ASSERT_TRUE(run.inst[static_cast<std::size_t>(i)]->output());
     EXPECT_EQ(*run.inst[static_cast<std::size_t>(i)]->output(), (Bytes{0x42}));
+  }
+}
+
+/// Corrupt non-king that retypes each VOTE2 as a well-formed KING for the
+/// same phase, carrying a different value to every recipient. The forged
+/// KING arrives a round before the real king's, so only the receivers'
+/// king-sender check keeps it out of the tally.
+class ForgedKing : public Adversary {
+ public:
+  bool participates(int) const override { return true; }
+  bool filter_outgoing(Msg& m, Rng&) override {
+    if (m.type != PhaseKing::kVote2) return true;
+    Reader r(m.body);
+    const std::uint32_t k = r.u32();
+    Writer w;
+    w.u32(k);
+    w.bytes(Bytes{static_cast<std::uint8_t>(0xE0 + m.to)});
+    m.type = PhaseKing::kKing;
+    m.body = w.take();
+    return true;
+  }
+};
+
+TEST(PhaseKing, AgreementWhenNonKingForgesKingMessages) {
+  // n = 4, t = 1: the kings are P0 and P1, so P3 is never king. Mixed
+  // inputs keep every honest party unlocked, so each phase's outcome is
+  // whatever KING value it accepted.
+  const int n = 4, t = 1;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    auto adv = std::make_shared<ForgedKing>();
+    adv->corrupt(3);
+    auto w = make_world(n, t, 0, NetMode::kSynchronous, adv, seed);
+    const std::vector<Bytes> inputs{Bytes{0x00}, Bytes{0x01}, Bytes{0x00}, Bytes{0x01}};
+    PkRun run(w, t, 0, inputs);
+    w.sim->run();
+    std::optional<Bytes> agreed;
+    for (int i = 0; i < n; ++i) {
+      if (!w.honest(i)) continue;
+      const auto& out = run.inst[static_cast<std::size_t>(i)]->output();
+      ASSERT_TRUE(out) << i;
+      if (agreed) {
+        EXPECT_EQ(*agreed, *out) << "seed " << seed;
+      }
+      agreed = out;
+    }
   }
 }
 

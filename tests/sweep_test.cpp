@@ -124,18 +124,15 @@ TEST(BcSweep64, CrashAdversaryHonestSenderStillDelivers) {
 // count, so the end tick and total message count of a synchronous ΠBC are
 // pinned constants: any scheduling or coalescing regression shows up as a
 // changed pin, any determinism regression as a cross-thread mismatch.
-// n = 256 runs the recursive-committee phase-king (⌈log₂(t+2)⌉ phases
-// instead of t+1), which is what makes the size affordable at all.
 
 struct BigBcResult {
   Tick end = 0;
   std::uint64_t msgs = 0;
 };
 
-BigBcResult run_big_bc(int n, int threads, BgpMode bgp) {
+BigBcResult run_big_bc(int n, int threads) {
   const int ts = (n - 1) / 3;
   auto w = make_world(n, ts, 0, NetMode::kSynchronous);
-  w.ctx = Ctx::make(n, ts, 0, 1000, w.coin.get(), bgp);
   w.sim->set_threads(threads);
   std::vector<std::unique_ptr<Bc>> inst(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
@@ -152,8 +149,8 @@ BigBcResult run_big_bc(int n, int threads, BgpMode bgp) {
 }
 
 TEST(BcSweepBig, N128LinearPinnedAcrossThreads) {
-  const BigBcResult t1 = run_big_bc(128, 1, BgpMode::kLinear);
-  const BigBcResult t8 = run_big_bc(128, 8, BgpMode::kLinear);
+  const BigBcResult t1 = run_big_bc(128, 1);
+  const BigBcResult t8 = run_big_bc(128, 8);
   EXPECT_EQ(t1.end, t8.end);
   EXPECT_EQ(t1.msgs, t8.msgs);
   // 43 linear phases: T_BC = 3Δ + 3·43·Δ = 132Δ.
@@ -162,14 +159,13 @@ TEST(BcSweepBig, N128LinearPinnedAcrossThreads) {
 }
 
 TEST(BcSweepBig, N256CommitteePinnedAcrossThreads) {
-  const BigBcResult t2 = run_big_bc(256, 2, BgpMode::kCommittee);
-  const BigBcResult t8 = run_big_bc(256, 8, BgpMode::kCommittee);
+  const BigBcResult t2 = run_big_bc(256, 2);
+  const BigBcResult t8 = run_big_bc(256, 8);
   EXPECT_EQ(t2.end, t8.end);
   EXPECT_EQ(t2.msgs, t8.msgs);
-  // ⌈log₂(85+2)⌉ = 7 committee phases: T_BC = 3Δ + 3·7·Δ = 24Δ — 5.5×
-  // shorter than the 258Δ the linear schedule would take at this size.
-  EXPECT_EQ(t2.end, Tick{24000});
-  EXPECT_EQ(t2.msgs, std::uint64_t{1081344});
+  // 86 linear phases: T_BC = 3Δ + 3·86·Δ = 261Δ.
+  EXPECT_EQ(t2.end, Tick{261000});
+  EXPECT_EQ(t2.msgs, std::uint64_t{11425536});
 }
 
 // ---- production-scale sweep: ΠWPS / ΠVSS at n = 32 ------------------------
@@ -227,17 +223,15 @@ TEST(VssSweep32, HonestDealerSharesAtDeadline) {
 
 // ---- production-scale sweep: ΠVSS at n = 64 -------------------------------
 //
-// The sharing that motivated the mega-bank: 65 ok-verdict grids (4096 slots
-// each) ride one shared Acast window and two SBA schedules, and the
-// recursive-committee phase-king collapses every BGP from t+1 = 22 phases to
-// ⌈log₂(t+2)⌉ = 5. Wall-clock is gated in bench/bench_vss_latency
-// (vss_wall_ms_n64, single-digit seconds Release); this test pins the
-// protocol outcome at that size on the threaded executor.
+// 65 ok-verdict grids (4096 slots each) plus every wef/★₂/ΠBA layer of the
+// sharing ride one shared Acast window and seven SBA schedules of t+1 = 22
+// phase-king phases each. Wall-clock is measured in bench/bench_vss_latency
+// (vss_wall_ms_n64); this test pins the protocol outcome at that size on
+// the threaded executor.
 
 TEST(VssSweep64, CommitteeModeHonestDealerSharesAtDeadline) {
   const int n = 64, ts = (n - 1) / 3;
   auto w = make_world(n, ts, 0, NetMode::kSynchronous);
-  w.ctx = Ctx::make(n, ts, 0, 1000, w.coin.get(), BgpMode::kCommittee);
   w.sim->set_threads(4);
   std::vector<std::unique_ptr<Vss>> inst(static_cast<std::size_t>(n));
   std::vector<std::optional<Tick>> done(static_cast<std::size_t>(n));
