@@ -57,6 +57,10 @@ struct BadCase {
   const char* why;
 };
 
+// Without this gtest prints the two pointers as raw bytes, and ctest names
+// each case after that printout, so every build got fresh names under ASLR.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.why; }
+
 class CircuitIoRejects : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(CircuitIoRejects, MalformedInput) {
