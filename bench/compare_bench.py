@@ -44,6 +44,11 @@ depends on the metric class, inferred from its name:
   *_hit_rate           cache hit rates in [0, 1], higher is better. Gated
                        relative to the baseline at --max-regression, like
                        deterministic metrics.
+  *_threads            configuration, not a result (e.g. msgplane_mt_threads
+                       = min(8, hardware threads) of the host that ran the
+                       bench). Reported, never gated against the baseline:
+                       a 4-core runner against a 2-core baseline is not a
+                       regression. --pin still applies if given.
 
 --pin gates a metric in NEW.json on EXACT equality (machine-independent
 structural counts, e.g. SBA schedules per sharing: any drift is a protocol
@@ -78,7 +83,10 @@ def flatten(doc):
 
 
 def classify(name):
-    """Return (direction, kind): direction +1 = higher-better, -1 = lower-better."""
+    """Return (direction, kind): direction +1 = higher-better, -1 = lower-better,
+    0 = neither (configuration)."""
+    if name.endswith("_threads"):
+        return 0, "config"
     if name.endswith("_speedup"):
         return 1, "speedup"
     if name.endswith("_hit_rate"):
@@ -175,6 +183,8 @@ def main():
         regressed_by = -direction * change  # movement against the good direction
         if name in pins:
             verdict = floor_verdict(name)
+        elif kind == "config":
+            verdict = "not gated (configuration)"
         elif kind == "raw-time" and not args.include_ns:
             verdict = "skipped (raw timing; cross-machine)"
         elif kind == "speedup":

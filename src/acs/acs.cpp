@@ -4,65 +4,36 @@ namespace bobw {
 
 Acs::Acs(Party& party, const std::string& id, int L, const Ctx& ctx, Tick base,
          CsRule rule, Handler on_output)
-    : party_(party), id_(id), L_(L), ctx_(ctx), base_(base), rule_(rule),
-      handler_(std::move(on_output)) {
-  const int nn = ctx_.n;
-  vss_.resize(static_cast<std::size_t>(nn));
-  ba_.resize(static_cast<std::size_t>(nn));
-  ba_out_.resize(static_cast<std::size_t>(nn));
-  out_.shares.resize(static_cast<std::size_t>(nn));
-  for (int j = 0; j < nn; ++j) {
-    vss_[static_cast<std::size_t>(j)] = std::make_unique<Vss>(
-        party_, sub_id(id_, "vss:" + std::to_string(j)), j, L_, ctx_, base_,
-        [this, j](const std::vector<Fp>&) { on_vss_output(j); });
-    ba_[static_cast<std::size_t>(j)] = std::make_unique<Ba>(
-        party_, sub_id(id_, "ba:" + std::to_string(j)), ctx_, base_ + ctx_.T.t_vss,
-        [this, j](bool b) { on_ba_decided(j, b); });
-  }
+    : party_(party),
+      handler_(std::move(on_output)),
+      vote_(party, id, ctx, base + ctx.T.t_vss, rule,
+            [&](int j) {
+              vss_.push_back(std::make_unique<Vss>(
+                  party_, sub_id(id, "vss:" + std::to_string(j)), j, L, ctx, base,
+                  [this, j](const std::vector<Fp>&) {
+                    // Pj entered C_i: vote 1 in Π(j)BA.
+                    vote_.vote_one(j);
+                    maybe_finish();
+                  }));
+            },
+            [this](const std::vector<int>&) { maybe_finish(); }) {
+  out_.shares.resize(static_cast<std::size_t>(ctx.n));
 }
 
 void Acs::set_input(const std::vector<Poly>& polys) {
   vss_[static_cast<std::size_t>(party_.id())]->deal(polys);
 }
 
-void Acs::on_vss_output(int j) {
-  // Pj entered C_i: vote 1 in Π(j)BA (Ba buffers the input until its
-  // scheduled start if the VSS finished early).
-  ba_[static_cast<std::size_t>(j)]->set_input(true);
-  maybe_finish();
-}
-
-void Acs::on_ba_decided(int j, bool b) {
-  ba_out_[static_cast<std::size_t>(j)] = b;
-  ++decided_;
-  if (b) ++ones_;
-  if (!zeros_cast_ && ones_ >= ctx_.n - ctx_.ts) {
-    zeros_cast_ = true;
-    for (auto& ba : ba_)
-      if (!ba->has_input()) ba->set_input(false);
-  }
-  if (decided_ == ctx_.n && !cs_) {
-    std::vector<int> cs;
-    for (int k = 0; k < ctx_.n; ++k) {
-      if (!*ba_out_[static_cast<std::size_t>(k)]) continue;
-      if (rule_ == CsRule::kFirstNMinusTs && static_cast<int>(cs.size()) >= ctx_.n - ctx_.ts)
-        break;
-      cs.push_back(k);
-    }
-    cs_ = std::move(cs);
-  }
-  maybe_finish();
-}
-
 void Acs::maybe_finish() {
-  if (done_ || !cs_) return;
+  if (done_ || !vote_.cs()) return;
+  const auto& cs = *vote_.cs();
   // All CS members' shares must be in hand (corrupt members may straggle —
   // VSS strong commitment guarantees eventual delivery).
-  for (int j : *cs_)
+  for (int j : cs)
     if (!vss_[static_cast<std::size_t>(j)]->has_output()) return;
   done_ = true;
-  out_.cs = *cs_;
-  for (int j : *cs_)
+  out_.cs = cs;
+  for (int j : cs)
     out_.shares[static_cast<std::size_t>(j)] = vss_[static_cast<std::size_t>(j)]->shares();
   if (handler_) handler_(out_);
 }

@@ -1,11 +1,10 @@
 // ΠACS — agreement on a common subset (paper §5, Fig 5, Lemma 5.1).
 //
 // Each party deals L degree-ts polynomials through its own ΠVSS instance.
-// After local time B+T_VSS, parties join ΠBA instance j with input 1 the
-// moment Π(j)VSS delivers an output; once n−ts BA instances have output 1
-// they join every remaining BA with input 0. CS is derived from the BA
-// outputs (all 1-parties, or the first n−ts of them — the rule differs
-// between Fig 5 and the preprocessing protocol, so it is a parameter).
+// After local time B+T_VSS the parties run the common-subset vote
+// (SubsetVote, src/acs/subset_vote.hpp) over the n VSS outputs; CS is
+// every party with BA output 1 (kAllOnes) unless the caller picks another
+// rule.
 //
 // Guarantees: |CS| >= n−ts; in a synchronous network every honest party is
 // in CS; every honest party obtains shares of the polynomials of every CS
@@ -17,7 +16,7 @@
 #include <optional>
 #include <vector>
 
-#include "src/ba/ba.hpp"
+#include "src/acs/subset_vote.hpp"
 #include "src/core/timing.hpp"
 #include "src/vss/vss.hpp"
 
@@ -32,7 +31,7 @@ class Acs {
   };
   using Handler = std::function<void(const Output&)>;
 
-  enum class CsRule { kAllOnes, kFirstNMinusTs };
+  using CsRule = SubsetVote::Rule;
 
   Acs(Party& party, const std::string& id, int L, const Ctx& ctx, Tick base,
       CsRule rule, Handler on_output);
@@ -48,24 +47,13 @@ class Acs {
   Vss& vss(int j) { return *vss_[static_cast<std::size_t>(j)]; }
 
  private:
-  void on_vss_output(int j);
-  void on_ba_decided(int j, bool b);
   void maybe_finish();
 
   Party& party_;
-  std::string id_;
-  int L_;
-  Ctx ctx_;
-  Tick base_;
-  CsRule rule_;
   Handler handler_;
 
   std::vector<std::unique_ptr<Vss>> vss_;
-  std::vector<std::unique_ptr<Ba>> ba_;
-  std::vector<std::optional<bool>> ba_out_;
-  int ones_ = 0, decided_ = 0;
-  bool zeros_cast_ = false;
-  std::optional<std::vector<int>> cs_;
+  SubsetVote vote_;
   Output out_;
   bool done_ = false;
 };

@@ -30,8 +30,8 @@ class Ba {
   using Handler = std::function<void(bool)>;
 
   /// Standalone: the instance builds its own n-slot input BcBank. When a
-  /// parent protocol multiplexes many ΠBA input layers over one shared
-  /// schedule plane (ΠVSS: the n child instances plus its own), it passes
+  /// parent protocol multiplexes its ΠBA input layer over a shared
+  /// schedule plane (every ΠWPS/ΠVSS skeleton does), it passes
   /// `bc_bank`/`bc_group` — an n-slot group (slot j = Pj's bit, sender Pj,
   /// start = start_time) on the parent's bank — and installs a group handler
   /// forwarding into on_input_bc(); the instance then only *sends* through

@@ -14,7 +14,7 @@
 //    one flattened slot space. For ΠVSS that is the whole sharing's schedule
 //    plane: all n child ok-grids, the dealer grid, every child's and ΠVSS's
 //    own wef/★₂ broadcast and ΠBA input layer — 4n+4 groups — ride ONE bank
-//    (see the layout table in src/vss/vss.hpp).
+//    (see the layout table in src/vss/plane.hpp).
 //  * AcastBank coalesces all groups' INIT/ECHO/READY traffic per local
 //    Δ-window into ONE wire message of (type, value) → slot-list groups,
 //    with per-slot digest-interned echo/ready vote sets. Outgoing traffic is
@@ -251,7 +251,8 @@ class BcBank {
   /// schedules over the union of all groups' slots.
   BcBank(Party& party, const std::string& id, std::vector<Group> groups, const Ctx& ctx);
 
-  /// Single-group convenience (Bc, Ba, standalone ΠWPS grids).
+  /// Single-group convenience (Bc, and the own input bank of a ΠBA built
+  /// without a parent plane).
   BcBank(Party& party, const std::string& id, std::vector<int> senders, const Ctx& ctx,
          Tick start_time, Handler handler);
 

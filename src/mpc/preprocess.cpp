@@ -7,60 +7,34 @@ namespace bobw {
 Preprocess::Preprocess(Party& party, const std::string& id, const Ctx& ctx, Tick base,
                        int c_m, Handler on_triples)
     : party_(party), id_(id), ctx_(ctx), base_(base), c_m_(c_m),
-      handler_(std::move(on_triples)) {
-  const int nn = ctx_.n;
-  // d is fixed by |CS| = n − ts (the first-(n−ts) rule).
-  d_ = (nn - ctx_.ts - 1) / 2;
-  const int per_ext = d_ + 1 - ctx_.ts;  // > 0 since n > 3ts
-  L_ = (c_m_ + per_ext - 1) / per_ext;
-  tripsh_.resize(static_cast<std::size_t>(nn));
-  ba_.resize(static_cast<std::size_t>(nn));
-  ba_out_.resize(static_cast<std::size_t>(nn));
-  for (int j = 0; j < nn; ++j) {
-    tripsh_[static_cast<std::size_t>(j)] = std::make_unique<TripSh>(
-        party_, sub_id(id_, "tsh:" + std::to_string(j)), j, L_, ctx_, base_,
-        [this, j](const std::vector<TripleShare>&) { on_tripsh_output(j); });
-    ba_[static_cast<std::size_t>(j)] = std::make_unique<Ba>(
-        party_, sub_id(id_, "ba:" + std::to_string(j)), ctx_, base_ + ctx_.T.t_tripsh,
-        [this, j](bool b) { on_ba_decided(j, b); });
-  }
-}
+      // d is fixed by |CS| = n − ts (the first-(n−ts) rule).
+      d_((ctx.n - ctx.ts - 1) / 2),
+      // L = ⌈c_M / (d+1−ts)⌉; d+1−ts > 0 since n > 3ts.
+      L_((c_m + d_ - ctx.ts) / (d_ + 1 - ctx.ts)),
+      handler_(std::move(on_triples)),
+      vote_(party, id, ctx, base + ctx.T.t_tripsh, SubsetVote::Rule::kFirstNMinusTs,
+            [this](int j) {
+              tripsh_.push_back(std::make_unique<TripSh>(
+                  party_, sub_id(id_, "tsh:" + std::to_string(j)), j, L_, ctx_, base_,
+                  [this, j](const std::vector<TripleShare>&) {
+                    vote_.vote_one(j);
+                    maybe_extract();
+                  }));
+            },
+            [this](const std::vector<int>&) { maybe_extract(); }) {}
 
 void Preprocess::deal() { tripsh_[static_cast<std::size_t>(party_.id())]->deal(); }
 
-void Preprocess::on_tripsh_output(int j) {
-  ba_[static_cast<std::size_t>(j)]->set_input(true);
-  maybe_extract();
-}
-
-void Preprocess::on_ba_decided(int j, bool b) {
-  ba_out_[static_cast<std::size_t>(j)] = b;
-  ++decided_;
-  if (b) ++ones_;
-  if (!zeros_cast_ && ones_ >= ctx_.n - ctx_.ts) {
-    zeros_cast_ = true;
-    for (auto& ba : ba_)
-      if (!ba->has_input()) ba->set_input(false);
-  }
-  if (decided_ == ctx_.n && !cs_) {
-    // First n−ts parties with BA output 1 (Fig 10, Phase II).
-    std::vector<int> cs;
-    for (int k = 0; k < ctx_.n && static_cast<int>(cs.size()) < ctx_.n - ctx_.ts; ++k)
-      if (*ba_out_[static_cast<std::size_t>(k)]) cs.push_back(k);
-    cs_ = std::move(cs);
-  }
-  maybe_extract();
-}
-
 void Preprocess::maybe_extract() {
-  if (extracting_ || done_ || !cs_) return;
-  for (int j : *cs_)
+  if (extracting_ || done_ || !vote_.cs()) return;
+  const auto& members = *vote_.cs();
+  for (int j : members)
     if (!tripsh_[static_cast<std::size_t>(j)]->done()) return;  // stragglers
   extracting_ = true;
   // Grid: the α's of the first 2d+1 CS members.
   std::vector<Fp> grid;
   grid.reserve(static_cast<std::size_t>(2 * d_ + 1));
-  for (int k = 0; k < 2 * d_ + 1; ++k) grid.push_back(alpha((*cs_)[static_cast<std::size_t>(k)]));
+  for (int k = 0; k < 2 * d_ + 1; ++k) grid.push_back(alpha(members[static_cast<std::size_t>(k)]));
   // Warm the process-wide PointSet caches for the grid and its base prefix
   // before the L-way TripExt fan-out: every extraction instance (for every
   // party — the grid is public and identical) then finds the Lagrange
@@ -78,7 +52,7 @@ void Preprocess::maybe_extract() {
     std::vector<TripleShare> in;
     in.reserve(static_cast<std::size_t>(2 * d_ + 1));
     for (int k = 0; k < 2 * d_ + 1; ++k) {
-      int j = (*cs_)[static_cast<std::size_t>(k)];
+      int j = members[static_cast<std::size_t>(k)];
       in.push_back(tripsh_[static_cast<std::size_t>(j)]->triples()[static_cast<std::size_t>(l)]);
     }
     ext_[static_cast<std::size_t>(l)]->start(std::move(in));

@@ -3,10 +3,10 @@
 // from the adversary's point of view.
 //
 // Every party deals L = ⌈c_M / (d+1−ts)⌉ triples through its own ΠTripSh
-// (d = ⌊(|CS|−1)/2⌋). A BA-per-dealer vote (1 as soon as Π(j)TripSh yields
-// output, 0 for the rest once n−ts ones are in) fixes the triple-provider
-// set CS as the first n−ts parties with BA output 1; L parallel ΠTripExt
-// runs then squeeze out the c_M random triples.
+// (d = ⌊(|CS|−1)/2⌋). The common-subset vote over the ΠTripSh outputs
+// (SubsetVote, src/acs/subset_vote.hpp, rule kFirstNMinusTs) fixes the
+// triple-provider set CS as the first n−ts parties with BA output 1; L
+// parallel ΠTripExt runs then squeeze out the c_M random triples.
 #pragma once
 
 #include <functional>
@@ -14,7 +14,7 @@
 #include <optional>
 #include <vector>
 
-#include "src/ba/ba.hpp"
+#include "src/acs/subset_vote.hpp"
 #include "src/mpc/trip_ext.hpp"
 #include "src/mpc/trip_sh.hpp"
 
@@ -33,13 +33,11 @@ class Preprocess {
 
   bool done() const { return done_; }
   const std::vector<TripleShare>& triples() const { return out_; }
-  const std::optional<std::vector<int>>& cs() const { return cs_; }
+  const std::optional<std::vector<int>>& cs() const { return vote_.cs(); }
   /// Triples per ΠTripSh dealer (exposed for the benches' bookkeeping).
   int per_dealer() const { return L_; }
 
  private:
-  void on_tripsh_output(int j);
-  void on_ba_decided(int j, bool b);
   void maybe_extract();
   void on_extract_done();
 
@@ -51,11 +49,7 @@ class Preprocess {
   Handler handler_;
 
   std::vector<std::unique_ptr<TripSh>> tripsh_;
-  std::vector<std::unique_ptr<Ba>> ba_;
-  std::vector<std::optional<bool>> ba_out_;
-  int ones_ = 0, decided_ = 0;
-  bool zeros_cast_ = false;
-  std::optional<std::vector<int>> cs_;
+  SubsetVote vote_;
   bool extracting_ = false;
 
   std::vector<std::unique_ptr<TripExt>> ext_;

@@ -1,81 +1,27 @@
 #include "src/vss/vss.hpp"
 
-#include <algorithm>
-
 #include "src/field/kernels.hpp"
 
 namespace bobw {
 
 Vss::Vss(Party& party, std::string id, int dealer, int L, const Ctx& ctx,
          Tick base, Handler on_shares)
-    : Instance(party, std::move(id)),
-      dealer_(dealer),
-      L_(L),
-      ctx_(ctx),
-      base_(base),
-      on_shares_(std::move(on_shares)),
-      verdicts_(party.n()) {
+    : StarCore(party, std::move(id), dealer, L, ctx, base, std::move(on_shares)),
+      wsh_(static_cast<std::size_t>(party.n())) {
   const int nn = n();
-  wsh_.resize(static_cast<std::size_t>(nn));
-  verdict_broadcast_.assign(static_cast<std::size_t>(nn), 0);
-
   // One schedule plane for the whole sharing: every broadcast/BA layer of
   // the n child-ΠWPS instances plus ΠVSS's own rides one slot-multiplexed
-  // bank — one Acast coalescing window, one SBA schedule per distinct layer
-  // start time (seven, independent of n; see the group-layout table in
-  // vss.hpp). The handlers fire only during the run, after the children
-  // below exist.
-  const Tick child_ok = base_ + 3 * ctx_.delta;  // child base + 2Δ
-  const Tick ok_start = base_ + ctx_.delta + ctx_.T.t_wps;
-  const Tick accept_time = ok_start + 2 * ctx_.T.t_bc;
-  std::vector<int> grid(static_cast<std::size_t>(nn) * static_cast<std::size_t>(nn));
-  for (int i = 0; i < nn; ++i)
-    for (int j = 0; j < nn; ++j) grid[static_cast<std::size_t>(i * nn + j)] = i;
-  std::vector<int> everyone(static_cast<std::size_t>(nn));
-  for (int j = 0; j < nn; ++j) everyone[static_cast<std::size_t>(j)] = j;
-  std::vector<BcBank::Group> groups;
-  groups.reserve(4 * static_cast<std::size_t>(nn) + 4);
-  for (int j = 0; j < nn; ++j) {
-    groups.push_back({grid, child_ok,
-                      [this, j](int slot, const std::optional<Bytes>& v, bool fb) {
-                        wps_[static_cast<std::size_t>(j)]->on_verdict(slot, v, fb);
-                      }});
+  // bank. Each group's handler forwards to the skeleton that owns it; the
+  // handlers fire only during the run, after the children below exist.
+  auto groups = planelayout::sharing_plane_groups(nn, dealer_, base_, ctx_, nullptr);
+  for (std::size_t g = 0; g < groups.size(); ++g) {
+    groups[g].handler = [this, o = planelayout::owner_of(nn, static_cast<int>(g))](
+                            int slot, const std::optional<Bytes>& v, bool fb) {
+      StarCore& to = o.child < 0 ? static_cast<StarCore&>(*this)
+                                 : *wps_[static_cast<std::size_t>(o.child)];
+      to.on_layer(o.layer, slot, v, fb);
+    };
   }
-  groups.push_back({grid, ok_start, [this](int slot, const std::optional<Bytes>& v, bool fb) {
-                      on_verdict(slot, v, fb);
-                    }});
-  for (int j = 0; j < nn; ++j) {
-    groups.push_back({std::vector<int>{j}, child_ok + ctx_.T.t_bc,
-                      [this, j](int /*slot*/, const std::optional<Bytes>& v, bool fb) {
-                        wps_[static_cast<std::size_t>(j)]->on_wef(v, fb);
-                      }});
-  }
-  for (int j = 0; j < nn; ++j) {
-    groups.push_back({everyone, child_ok + 2 * ctx_.T.t_bc,
-                      [this, j](int slot, const std::optional<Bytes>& v, bool fb) {
-                        wps_[static_cast<std::size_t>(j)]->on_ba_input(slot, v, fb);
-                      }});
-  }
-  for (int j = 0; j < nn; ++j) {
-    // Child ★₂ starts at child accept + T_BA = B+Δ+T_WPS: it reuses the
-    // dealer ok grid's SBA schedule (same partition by start value).
-    groups.push_back({std::vector<int>{j}, ok_start,
-                      [this, j](int /*slot*/, const std::optional<Bytes>& v, bool fb) {
-                        wps_[static_cast<std::size_t>(j)]->on_star2(v, fb);
-                      }});
-  }
-  groups.push_back({std::vector<int>{dealer_}, ok_start + ctx_.T.t_bc,
-                    [this](int /*slot*/, const std::optional<Bytes>& v, bool fb) {
-                      on_wef(v, fb);
-                    }});
-  groups.push_back({everyone, accept_time,
-                    [this](int slot, const std::optional<Bytes>& v, bool fb) {
-                      ba_->on_input_bc(slot, v, fb);
-                    }});
-  groups.push_back({std::vector<int>{dealer_}, accept_time + ctx_.T.t_ba,
-                    [this](int /*slot*/, const std::optional<Bytes>& v, bool fb) {
-                      on_star2(v, fb);
-                    }});
   plane_ = std::make_unique<BcBank>(party_, sub_id(this->id(), "plane"), std::move(groups), ctx_);
 
   // Second layer: one ΠWPS per party, scheduled at B+Δ, each sending its
@@ -89,146 +35,17 @@ Vss::Vss(Party& party, std::string id, int dealer, int L, const Ctx& ctx,
           wsh_[static_cast<std::size_t>(j)] = sh;
           on_wps_share(j);
         },
-        plane_.get(), /*ok_group=*/j, /*wef_group=*/nn + 1 + j,
-        /*star2_group=*/3 * nn + 1 + j, /*ba_group=*/2 * nn + 1 + j);
+        plane_.get(), planelayout::child_groups(nn, j));
   }
 
-  ba_ = std::make_unique<Ba>(party_, sub_id(this->id(), "ba"), ctx_, accept_time,
-                             [this](bool b) { on_ba(b); },
-                             plane_.get(), /*bc_group=*/4 * nn + 2);
-
-  if (self() == dealer_) {
-    at(ok_start + ctx_.T.t_bc, [this] { dealer_find_wef(); });
-  }
-  at(accept_time, [this] { accept_check(); });
+  attach(*plane_, planelayout::dealer_groups(nn), base_ + ctx_.delta + ctx_.T.t_wps);
 }
-
-// --------------------------------------------------------------- dealer ---
-
-void Vss::deal(const std::vector<Poly>& qs) {
-  std::vector<SymBivariate> Qs;
-  Qs.reserve(qs.size());
-  for (const auto& q : qs)
-    Qs.push_back(SymBivariate::random_embedding(ctx_.ts, q, party_.rng()));
-  deal_bivariate(std::move(Qs));
-}
-
-void Vss::deal_bivariate(std::vector<SymBivariate> Qs) {
-  if (dealing_ || static_cast<int>(Qs.size()) != L_) return;
-  dealing_ = true;
-  Qs_ = std::move(Qs);
-  if (now() >= base_) {
-    send_rows();
-  } else {
-    at(base_, [this] { send_rows(); });
-  }
-}
-
-void Vss::deal_rows_custom(std::vector<SymBivariate> Qs,
-                           std::vector<std::vector<Poly>> rows_per_party) {
-  if (dealing_) return;
-  dealing_ = true;
-  Qs_ = std::move(Qs);
-  custom_rows_ = std::move(rows_per_party);
-  if (now() >= base_) {
-    send_rows();
-  } else {
-    at(base_, [this] { send_rows(); });
-  }
-}
-
-void Vss::send_rows() {
-  for (int i = 0; i < n(); ++i) {
-    std::vector<Poly> rows;
-    if (!custom_rows_.empty()) {
-      rows = custom_rows_[static_cast<std::size_t>(i)];
-    } else {
-      rows.reserve(static_cast<std::size_t>(L_));
-      for (const auto& Q : Qs_) rows.push_back(Q.row(alpha(i)));
-    }
-    send(i, kRows, wire::encode_rows(rows, ctx_.ts));
-  }
-}
-
-void Vss::dealer_find_wef() {
-  if (wef_sent_) return;
-  std::vector<char> bad(static_cast<std::size_t>(n()), 0);
-  for (int i = 0; i < n(); ++i)
-    for (int j = 0; j < n(); ++j) {
-      const auto& v = verdicts_.reg(i, j);
-      if (!v || v->ok) continue;
-      if (v->nok_index >= static_cast<std::uint32_t>(L_) ||
-          v->nok_value != Qs_[v->nok_index].eval(alpha(j), alpha(i)))
-        bad[static_cast<std::size_t>(i)] = 1;
-    }
-  const Graph& g = graph(/*regular_only=*/true);
-  Graph pruned(n());
-  for (int u = 0; u < n(); ++u)
-    for (int v = u + 1; v < n(); ++v)
-      if (g.has_edge(u, v) && !bad[static_cast<std::size_t>(u)] && !bad[static_cast<std::size_t>(v)])
-        pruned.add_edge(u, v);
-  std::vector<bool> inW(static_cast<std::size_t>(n()), false);
-  // A party is trivially consistent with itself, so it counts towards its
-  // own degree (otherwise a clique of the n-ts honest parties could never
-  // satisfy deg >= n-ts).
-  for (int i = 0; i < n(); ++i)
-    inW[static_cast<std::size_t>(i)] = pruned.degree(i) + 1 >= n() - ctx_.ts;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (int i = 0; i < n(); ++i) {
-      if (!inW[static_cast<std::size_t>(i)]) continue;
-      int deg_in_w = 1;  // self
-      for (int j = 0; j < n(); ++j)
-        if (j != i && inW[static_cast<std::size_t>(j)] && pruned.has_edge(i, j)) ++deg_in_w;
-      if (deg_in_w < n() - ctx_.ts) {
-        inW[static_cast<std::size_t>(i)] = false;
-        changed = true;
-      }
-    }
-  }
-  auto star = find_star(pruned.induced(inW), ctx_.ts);
-  if (!star) return;
-  wire::StarMsg msg;
-  for (int i = 0; i < n(); ++i)
-    if (inW[static_cast<std::size_t>(i)]) msg.W.push_back(i);
-  msg.E = std::move(star->E);
-  msg.F = std::move(star->F);
-  wef_sent_ = true;
-  plane_->broadcast(4 * n() + 1, 0, wire::encode_star(msg));
-}
-
-void Vss::dealer_try_star2() {
-  if (star2_sent_) return;
-  auto star = find_star(graph(/*regular_only=*/false), ctx_.ta);
-  if (!star) return;
-  star2_sent_ = true;
-  wire::StarMsg msg;
-  msg.E = std::move(star->E);
-  msg.F = std::move(star->F);
-  plane_->broadcast(4 * n() + 3, 0, wire::encode_star(msg));
-}
-
-// ------------------------------------------------- rows & second layer ---
 
 void Vss::on_message(const Msg& m) {
   if (m.type == kRows) on_rows(m);
 }
 
-void Vss::on_rows(const Msg& m) {
-  if (m.from != dealer_ || rows_valid_) return;
-  auto rows = wire::decode_rows(m.body, L_, ctx_.ts);
-  if (!rows) return;
-  rows_ = std::move(*rows);
-  rows_valid_ = true;
-  maybe_deal_own_wps();
-  for (int j = 0; j < n(); ++j)
-    if (wsh_[static_cast<std::size_t>(j)]) maybe_broadcast_verdict(j);
-}
-
-void Vss::maybe_deal_own_wps() {
-  if (!rows_valid_ || own_wps_dealt_) return;
-  own_wps_dealt_ = true;
+void Vss::start_second_layer() {
   // "Wait till the local time becomes a multiple of Δ, then act as a dealer."
   at(next_multiple(now(), ctx_.delta), [this] {
     wps_[static_cast<std::size_t>(self())]->deal(rows_);
@@ -237,150 +54,17 @@ void Vss::maybe_deal_own_wps() {
 
 void Vss::on_wps_share(int j) {
   maybe_broadcast_verdict(j);
-  if (interpolating_) try_interpolate({});
+  if (interpolating_) try_interpolate();
 }
 
-void Vss::maybe_broadcast_verdict(int j) {
-  if (!rows_valid_ || !wsh_[static_cast<std::size_t>(j)] ||
-      verdict_broadcast_[static_cast<std::size_t>(j)])
-    return;
-  verdict_broadcast_[static_cast<std::size_t>(j)] = 1;
-  at(next_multiple(now(), ctx_.delta), [this, j] {
-    wire::Verdict v;
-    const auto& sh = *wsh_[static_cast<std::size_t>(j)];
-    for (int l = 0; l < L_; ++l) {
-      if (sh[static_cast<std::size_t>(l)] != rows_[static_cast<std::size_t>(l)].eval(alpha(j))) {
-        v.ok = false;
-        v.nok_index = static_cast<std::uint32_t>(l);
-        v.nok_value = rows_[static_cast<std::size_t>(l)].eval(alpha(j));
-        break;
-      }
-    }
-    plane_->broadcast(n(), self() * n() + j, wire::encode_verdict(v));
-  });
-}
-
-void Vss::on_verdict(int slot, const std::optional<Bytes>& v, bool fallback) {
-  if (!v) return;
-  auto verdict = wire::decode_verdict(*v);
-  if (!verdict) return;
-  verdicts_.record(slot / n(), slot % n(), *verdict, fallback);
-  if (ba_out_ && *ba_out_) {
-    if (self() == dealer_) dealer_try_star2();
-    try_path_star2();
-  }
-}
-
-void Vss::on_wef(const std::optional<Bytes>& v, bool fallback) {
-  if (!v) return;
-  if (auto s = wire::decode_star(*v, n())) {
-    if (!wef_) {
-      wef_ = std::move(*s);
-      // First non-null delivery: fallback = false iff it is the regular-mode
-      // decide (the fallback path only fires after regular decided ⊥).
-      wef_regular_ = !fallback;
-      if (ba_out_ && !*ba_out_) try_path_w();
-    }
-  }
-}
-
-void Vss::on_star2(const std::optional<Bytes>& v, bool /*fallback*/) {
-  if (!v) return;
-  if (auto s = wire::decode_star(*v, n())) {
-    if (!star2_) {
-      star2_ = std::move(*s);
-      try_path_star2();
-    }
-  }
-}
-
-// --------------------------------------------------- acceptance & paths ---
-
-void Vss::accept_check() {
-  accepted_ = false;
-  if (wef_ && wef_regular_) {
-    const auto& s = *wef_;
-    const Graph& g = graph(/*regular_only=*/true);
-    bool ok = static_cast<int>(s.W.size()) >= n() - ctx_.ts;
-    std::vector<bool> inW(static_cast<std::size_t>(n()), false);
-    for (int w : s.W) inW[static_cast<std::size_t>(w)] = true;
-    for (int j : s.W)
-      for (int k : s.W) {
-        if (j >= k) continue;
-        const auto& vj = verdicts_.reg(j, k);
-        const auto& vk = verdicts_.reg(k, j);
-        if (vj && vk && !vj->ok && !vk->ok && vj->nok_index == vk->nok_index &&
-            vj->nok_value != vk->nok_value)
-          ok = false;
-      }
-    for (int j : s.W) {
-      if (!ok) break;
-      if (g.degree(j) + 1 < n() - ctx_.ts) ok = false;
-      int deg_in_w = 1;  // self
-      for (int k : s.W)
-        if (k != j && g.has_edge(j, k)) ++deg_in_w;
-      if (deg_in_w < n() - ctx_.ts) ok = false;
-    }
-    if (ok) {
-      Graph gw = g.induced(inW);
-      for (int e : s.E)
-        if (!inW[static_cast<std::size_t>(e)]) ok = false;
-      for (int f : s.F)
-        if (!inW[static_cast<std::size_t>(f)]) ok = false;
-      if (ok) ok = is_star(gw, s.E, s.F, ctx_.ts);
-    }
-    accepted_ = ok;
-  }
-  ba_->set_input(accepted_ ? false : true);
-}
-
-void Vss::on_ba(bool b) {
-  ba_out_ = b;
-  if (!b) {
-    try_path_w();
-  } else {
-    if (self() == dealer_) dealer_try_star2();
-    try_path_star2();
-  }
-}
-
-void Vss::try_path_w() {
-  if (done_ || !ba_out_ || *ba_out_ || !wef_) return;
-  const auto& s = *wef_;
-  if (static_cast<int>(s.F.size()) < n() - ctx_.ts) return;
-  const bool in_w = std::find(s.W.begin(), s.W.end(), self()) != s.W.end();
-  if (in_w && rows_valid_) {
-    std::vector<Fp> out;
-    out.reserve(static_cast<std::size_t>(L_));
-    for (const auto& row : rows_) out.push_back(row.constant_term());
-    finish(std::move(out));
-    return;
-  }
+void Vss::complete_from(const std::vector<int>& providers) {
   provider_.assign(static_cast<std::size_t>(n()), 0);
-  for (int p : s.F) provider_[static_cast<std::size_t>(p)] = 1;
+  for (int p : providers) provider_[static_cast<std::size_t>(p)] = 1;
   interpolating_ = true;
-  try_interpolate({});
+  try_interpolate();
 }
 
-void Vss::try_path_star2() {
-  if (done_ || !ba_out_ || !*ba_out_ || !star2_) return;
-  const auto& s = *star2_;
-  if (!is_star(graph(/*regular_only=*/false), s.E, s.F, ctx_.ta)) return;
-  const bool in_f = std::find(s.F.begin(), s.F.end(), self()) != s.F.end();
-  if (in_f && rows_valid_) {
-    std::vector<Fp> out;
-    out.reserve(static_cast<std::size_t>(L_));
-    for (const auto& row : rows_) out.push_back(row.constant_term());
-    finish(std::move(out));
-    return;
-  }
-  provider_.assign(static_cast<std::size_t>(n()), 0);
-  for (int p : s.F) provider_[static_cast<std::size_t>(p)] = 1;
-  interpolating_ = true;
-  try_interpolate({});
-}
-
-void Vss::try_interpolate(const std::vector<int>& /*unused*/) {
+void Vss::try_interpolate() {
   if (done_ || !interpolating_) return;
   // SS_i: providers whose wps-shares I have computed. Need ts+1 of them.
   std::vector<int> ss;
@@ -405,13 +89,6 @@ void Vss::try_interpolate(const std::vector<int>& /*unused*/) {
     out.push_back(ps->eval(ys, Fp(0)));
   }
   finish(std::move(out));
-}
-
-void Vss::finish(std::vector<Fp> shares) {
-  if (done_) return;
-  done_ = true;
-  shares_ = std::move(shares);
-  if (on_shares_) on_shares_(shares_);
 }
 
 }  // namespace bobw

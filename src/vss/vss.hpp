@@ -1,12 +1,13 @@
 // ΠVSS — the best-of-both-worlds verifiable secret sharing protocol
 // (paper §4.2, Fig 4, Theorem 4.16), generalised to L polynomials.
 //
-// Same skeleton as ΠWPS with a second communication layer: instead of
-// sending pairwise points directly, each Pj re-shares its row polynomials
-// through its own ΠWPS instance; Pi's "received point" q_ji is the wps-share
-// it computes in Π(j)WPS. This upgrade is what turns weak commitment into
-// strong commitment: parties outside W interpolate their row from the
-// wps-shares of any ts+1 parties of F, all of which are guaranteed correct.
+// Same skeleton as ΠWPS (StarCore, src/vss/star_core.hpp) with a second
+// communication layer: instead of sending pairwise points directly, each Pj
+// re-shares its row polynomials through its own ΠWPS instance; Pi's
+// "received point" q_ji is the wps-share it computes in Π(j)WPS. This
+// upgrade is what turns weak commitment into strong commitment: parties
+// outside W interpolate their row from the wps-shares of any ts+1 parties
+// of F, all of which are guaranteed correct.
 //
 // Schedule, relative to the publicly known base time B (Δ-aligned):
 //   B                      dealer sends rows q_i(x) = Q^(ℓ)(x, α_i)
@@ -21,119 +22,51 @@
 // Output at Pi: the L shares q^(ℓ)(α_i).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "src/ba/ba.hpp"
 #include "src/bcast/bc_bank.hpp"
-#include "src/core/timing.hpp"
-#include "src/field/bivariate.hpp"
-#include "src/graph/star.hpp"
-#include "src/sim/instance.hpp"
-#include "src/vss/verdicts.hpp"
-#include "src/vss/wire.hpp"
+#include "src/vss/star_core.hpp"
 #include "src/vss/wps.hpp"
 
 namespace bobw {
 
-class Vss : public Instance {
+class Vss : public StarCore {
  public:
-  using Handler = std::function<void(const std::vector<Fp>&)>;
-
+  /// Builds the sharing's schedule plane, the n child ΠWPS instances (dealer
+  /// j, base B+Δ) on it, and attaches its own four layers to the plane's
+  /// dealer groups.
   Vss(Party& party, std::string id, int dealer, int L, const Ctx& ctx,
       Tick base, Handler on_shares);
 
-  /// Dealer-side: share L degree-ts polynomials.
-  void deal(const std::vector<Poly>& qs);
-  /// Dealer-side with explicit bivariate polynomials (fault injection).
-  void deal_bivariate(std::vector<SymBivariate> Qs);
-  /// Dealer-side, fully adversarial: send arbitrary per-party rows and use
-  /// `Qs` for the dealer's own pruning bookkeeping.
-  void deal_rows_custom(std::vector<SymBivariate> Qs,
-                        std::vector<std::vector<Poly>> rows_per_party);
-
-  bool has_output() const { return done_; }
-  const std::vector<Fp>& shares() const { return shares_; }
-  int dealer() const { return dealer_; }
-  const std::optional<bool>& ba_verdict() const { return ba_out_; }
+  /// Dealer-side, fully adversarial (fault injection).
+  using StarCore::deal_rows_custom;
 
   void on_message(const Msg& m) override;
 
-  enum Type { kRows = 0 };
-
  private:
-  void send_rows();
-  void on_rows(const Msg& m);
-  void maybe_deal_own_wps();
+  void start_second_layer() override;
+  const std::optional<std::vector<Fp>>& values_from(int j) const override {
+    return wsh_[static_cast<std::size_t>(j)];
+  }
+  void complete_from(const std::vector<int>& providers) override;
+
   void on_wps_share(int j);
-  void maybe_broadcast_verdict(int j);
-  void on_verdict(int slot, const std::optional<Bytes>& v, bool fallback);
-  void on_wef(const std::optional<Bytes>& v, bool fallback);
-  void on_star2(const std::optional<Bytes>& v, bool fallback);
-
-  void dealer_find_wef();
-  void dealer_try_star2();
-
-  void accept_check();
-  void on_ba(bool b);
-  void try_path_w();
-  void try_path_star2();
-  void try_interpolate(const std::vector<int>& providers);
-  void finish(std::vector<Fp> shares);
-
-  const Graph& graph(bool regular_only) const { return verdicts_.graph(regular_only); }
-
-  int dealer_, L_;
-  Ctx ctx_;
-  Tick base_;
-  Handler on_shares_;
-
-  // Dealer state.
-  std::vector<SymBivariate> Qs_;
-  std::vector<std::vector<Poly>> custom_rows_;  // adversarial dealing
-  bool dealing_ = false;
-  bool wef_sent_ = false, star2_sent_ = false;
-
-  // Row / wps-share state.
-  std::vector<Poly> rows_;
-  bool rows_valid_ = false;
-  bool own_wps_dealt_ = false;
-  std::vector<std::unique_ptr<Wps>> wps_;            // n children, dealer j
-  std::vector<std::optional<std::vector<Fp>>> wsh_;  // wsh_[j]: my shares in Π(j)WPS
-
-  // Verdict state (incrementally maintained consistency graphs).
-  VerdictState verdicts_;
-  std::vector<char> verdict_broadcast_;
+  void try_interpolate();
 
   // The whole sharing's broadcast/BA traffic — the (n+1)·n² ok-verdict
   // grids, the n+1 wef and ★₂ dealer broadcasts and the (n+1)·n ΠBA input
   // bits — rides ONE slot-multiplexed schedule plane: one Acast coalescing
   // window and one SBA schedule per distinct layer start time (seven for
-  // the whole sharing, independent of n). Group layout (4n+4 groups):
-  //     0..n-1   child-ΠWPS ok grids        (n² slots, start B+3Δ)
-  //     n        dealer ok grid             (n² slots, B+Δ+T_WPS)
-  //     n+1+j    child j wef                (1 slot,  B+3Δ+T_BC)
-  //     2n+1+j   child j ΠBA inputs         (n slots, B+3Δ+2T_BC)
-  //     3n+1+j   child j ★₂                 (1 slot,  B+Δ+T_WPS — shares
-  //                                          the dealer grid's schedule)
-  //     4n+1     ΠVSS wef                   (1 slot,  B+Δ+T_WPS+T_BC)
-  //     4n+2     ΠVSS ΠBA inputs            (n slots, B+Δ+T_WPS+2T_BC)
-  //     4n+3     ΠVSS ★₂                    (1 slot,  B+Δ+T_WPS+2T_BC+T_BA)
+  // the whole sharing, independent of n). Its 4n+4 groups are
+  // planelayout::sharing_plane_groups (src/vss/plane.hpp).
   std::unique_ptr<BcBank> plane_;
-  std::unique_ptr<Ba> ba_;
-
-  std::optional<wire::StarMsg> wef_;
-  bool wef_regular_ = false;
-  bool accepted_ = false;
-  std::optional<wire::StarMsg> star2_;
-  std::optional<bool> ba_out_;
+  std::vector<std::unique_ptr<Wps>> wps_;            // n children, dealer j
+  std::vector<std::optional<std::vector<Fp>>> wsh_;  // wsh_[j]: my shares in Π(j)WPS
 
   std::vector<char> provider_;
   bool interpolating_ = false;
-  std::vector<Fp> shares_;
-  bool done_ = false;
 };
 
 }  // namespace bobw

@@ -1,164 +1,27 @@
 #include "src/vss/wps.hpp"
 
-#include <algorithm>
-
 namespace bobw {
 
-Wps::Wps(Party& party, std::string id, int dealer, int L, const Ctx& ctx,
-         Tick base, Handler on_shares, BcBank* bank, int ok_group,
-         int wef_group, int star2_group, int ba_group)
-    : Instance(party, std::move(id)),
-      dealer_(dealer),
-      L_(L),
-      ctx_(ctx),
-      base_(base),
-      on_shares_(std::move(on_shares)),
-      verdicts_(party.n()) {
-  const int nn = n();
-  pts_.resize(static_cast<std::size_t>(nn));
-  verdict_broadcast_.assign(static_cast<std::size_t>(nn), 0);
-
-  // One ΠBC slot per ordered pair (slot i*n+j: Pi broadcasts its verdict on
-  // Pj), multiplexed over one shared broadcast bank. A parent protocol may
-  // hand us a group of its own shared plane instead; it owns the handler
-  // wiring.
+Wps::Wps(Party& party, std::string id, int dealer, int L, const Ctx& ctx, Tick base,
+         Handler on_shares, BcBank* plane, planelayout::StarGroups groups)
+    : StarCore(party, std::move(id), dealer, L, ctx, base, std::move(on_shares)),
+      pts_(static_cast<std::size_t>(party.n())) {
   const Tick ok_start = base_ + 2 * ctx_.delta;
-  if (bank) {
-    ok_ = bank;
-    ok_group_ = ok_group;
-  } else {
-    std::vector<int> senders(static_cast<std::size_t>(nn) * static_cast<std::size_t>(nn));
-    for (int i = 0; i < nn; ++i)
-      for (int j = 0; j < nn; ++j) senders[static_cast<std::size_t>(i * nn + j)] = i;
-    ok_bank_ = std::make_unique<BcBank>(
-        party_, sub_id(this->id(), "ok"), std::move(senders), ctx_, ok_start,
-        [this](int slot, const std::optional<Bytes>& v, bool fb) { on_verdict(slot, v, fb); });
-    ok_ = ok_bank_.get();
-  }
-
-  if (bank && wef_group >= 0) {
-    wef_group_ = wef_group;
-  } else {
-    wef_bc_ = std::make_unique<Bc>(
-        party_, sub_id(this->id(), "wef"), dealer_, ctx_, ok_start + ctx_.T.t_bc,
-        [this](const std::optional<Bytes>& v, bool fb) { on_wef(v, fb); });
-  }
-
-  const Tick accept_time = ok_start + 2 * ctx_.T.t_bc;
-  if (bank && star2_group >= 0) {
-    star2_group_ = star2_group;
-  } else {
-    star2_bc_ = std::make_unique<Bc>(
-        party_, sub_id(this->id(), "star2"), dealer_, ctx_, accept_time + ctx_.T.t_ba,
-        [this](const std::optional<Bytes>& v, bool fb) { on_star2(v, fb); });
-  }
-
-  ba_ = std::make_unique<Ba>(party_, sub_id(this->id(), "ba"), ctx_, accept_time,
-                             [this](bool b) { on_ba(b); },
-                             (bank && ba_group >= 0) ? bank : nullptr,
-                             ba_group >= 0 ? ba_group : 0);
-
-  if (self() == dealer_) {
-    at(ok_start + ctx_.T.t_bc, [this] { dealer_find_wef(); });
-  }
-  at(accept_time, [this] { accept_check(); });
-}
-
-// --------------------------------------------------------------- dealer ---
-
-void Wps::deal(const std::vector<Poly>& qs) {
-  std::vector<SymBivariate> Qs;
-  Qs.reserve(qs.size());
-  for (const auto& q : qs)
-    Qs.push_back(SymBivariate::random_embedding(ctx_.ts, q, party_.rng()));
-  deal_bivariate(std::move(Qs));
-}
-
-void Wps::deal_bivariate(std::vector<SymBivariate> Qs) {
-  if (dealing_ || static_cast<int>(Qs.size()) != L_) return;
-  dealing_ = true;
-  Qs_ = std::move(Qs);
-  if (now() >= base_) {
-    send_rows();
-  } else {
-    at(base_, [this] { send_rows(); });
-  }
-}
-
-void Wps::send_rows() {
-  for (int i = 0; i < n(); ++i) {
-    std::vector<Poly> rows;
-    rows.reserve(static_cast<std::size_t>(L_));
-    for (const auto& Q : Qs_) rows.push_back(Q.row(alpha(i)));
-    send(i, kRows, wire::encode_rows(rows, ctx_.ts));
-  }
-}
-
-void Wps::dealer_find_wef() {
-  if (wef_sent_) return;
-  // Prune parties whose regular-mode NOK claims a wrong value.
-  std::vector<char> bad(static_cast<std::size_t>(n()), 0);
-  for (int i = 0; i < n(); ++i)
-    for (int j = 0; j < n(); ++j) {
-      const auto& v = verdicts_.reg(i, j);
-      if (!v || v->ok) continue;
-      if (v->nok_index >= static_cast<std::uint32_t>(L_) ||
-          v->nok_value != Qs_[v->nok_index].eval(alpha(j), alpha(i)))
-        bad[static_cast<std::size_t>(i)] = 1;
+  if (!plane) {
+    std::vector<BcBank::Group> own;
+    for (int l = 0; l < planelayout::kLayers; ++l) {
+      const auto layer = static_cast<planelayout::Layer>(l);
+      own.push_back(planelayout::star_group(
+          n(), dealer_, ok_start, ctx_, layer,
+          [this, layer](int slot, const std::optional<Bytes>& v, bool fb) {
+            on_layer(layer, slot, v, fb);
+          }));
     }
-  const Graph& g = graph(/*regular_only=*/true);
-  Graph pruned(n());
-  for (int u = 0; u < n(); ++u)
-    for (int v = u + 1; v < n(); ++v)
-      if (g.has_edge(u, v) && !bad[static_cast<std::size_t>(u)] && !bad[static_cast<std::size_t>(v)])
-        pruned.add_edge(u, v);
-  // W: degree >= n - ts core, shrunk until internally (n-ts)-connected.
-  std::vector<bool> inW(static_cast<std::size_t>(n()), false);
-  // A party is trivially consistent with itself, so it counts towards its
-  // own degree (otherwise a clique of the n-ts honest parties could never
-  // satisfy deg >= n-ts).
-  for (int i = 0; i < n(); ++i)
-    inW[static_cast<std::size_t>(i)] = pruned.degree(i) + 1 >= n() - ctx_.ts;
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (int i = 0; i < n(); ++i) {
-      if (!inW[static_cast<std::size_t>(i)]) continue;
-      int deg_in_w = 1;  // self
-      for (int j = 0; j < n(); ++j)
-        if (j != i && inW[static_cast<std::size_t>(j)] && pruned.has_edge(i, j)) ++deg_in_w;
-      if (deg_in_w < n() - ctx_.ts) {
-        inW[static_cast<std::size_t>(i)] = false;
-        changed = true;
-      }
-    }
+    own_plane_ = std::make_unique<BcBank>(party_, sub_id(this->id(), "plane"), std::move(own), ctx_);
+    plane = own_plane_.get();
+    groups = planelayout::kOwnGroups;
   }
-  auto star = find_star(pruned.induced(inW), ctx_.ts);
-  if (!star) return;
-  wire::StarMsg msg;
-  for (int i = 0; i < n(); ++i)
-    if (inW[static_cast<std::size_t>(i)]) msg.W.push_back(i);
-  msg.E = std::move(star->E);
-  msg.F = std::move(star->F);
-  wef_sent_ = true;
-  if (wef_bc_)
-    wef_bc_->broadcast(wire::encode_star(msg));
-  else
-    ok_->broadcast(wef_group_, 0, wire::encode_star(msg));
-}
-
-void Wps::dealer_try_star2() {
-  if (star2_sent_) return;
-  auto star = find_star(graph(/*regular_only=*/false), ctx_.ta);
-  if (!star) return;
-  star2_sent_ = true;
-  wire::StarMsg msg;
-  msg.E = std::move(star->E);
-  msg.F = std::move(star->F);
-  if (star2_bc_)
-    star2_bc_->broadcast(wire::encode_star(msg));
-  else
-    ok_->broadcast(star2_group_, 0, wire::encode_star(msg));
+  attach(*plane, groups, ok_start);
 }
 
 // ------------------------------------------------------- rows & points ---
@@ -176,19 +39,7 @@ void Wps::on_message(const Msg& m) {
   }
 }
 
-void Wps::on_rows(const Msg& m) {
-  if (m.from != dealer_ || rows_valid_) return;
-  auto rows = wire::decode_rows(m.body, L_, ctx_.ts);
-  if (!rows) return;
-  rows_ = std::move(*rows);
-  rows_valid_ = true;
-  maybe_send_points();
-  for (int j = 0; j < n(); ++j) maybe_broadcast_verdict(j);
-}
-
-void Wps::maybe_send_points() {
-  if (!rows_valid_ || points_sent_) return;
-  points_sent_ = true;
+void Wps::start_second_layer() {
   at(next_multiple(now(), ctx_.delta), [this] {
     for (int j = 0; j < n(); ++j)
       send(j, kPoints, wire::encode_row_points(rows_, alpha(j)));
@@ -205,153 +56,9 @@ void Wps::on_points(const Msg& m) {
   if (oec_active_) feed_oec(m.from);
 }
 
-void Wps::maybe_broadcast_verdict(int j) {
-  if (!rows_valid_ || !pts_[static_cast<std::size_t>(j)] ||
-      verdict_broadcast_[static_cast<std::size_t>(j)])
-    return;
-  verdict_broadcast_[static_cast<std::size_t>(j)] = 1;
-  at(next_multiple(now(), ctx_.delta), [this, j] {
-    wire::Verdict v;
-    const auto& pts = *pts_[static_cast<std::size_t>(j)];
-    for (int l = 0; l < L_; ++l) {
-      if (pts[static_cast<std::size_t>(l)] != rows_[static_cast<std::size_t>(l)].eval(alpha(j))) {
-        v.ok = false;
-        v.nok_index = static_cast<std::uint32_t>(l);
-        v.nok_value = rows_[static_cast<std::size_t>(l)].eval(alpha(j));
-        break;  // least failing index
-      }
-    }
-    ok_->broadcast(ok_group_, self() * n() + j, wire::encode_verdict(v));
-  });
-}
+// ------------------------------------------------------ share completion ---
 
-void Wps::on_wef(const std::optional<Bytes>& v, bool fallback) {
-  if (!v) return;
-  if (auto s = wire::decode_star(*v, n())) {
-    if (!wef_) {
-      wef_ = std::move(*s);
-      // The regular-mode decide fires with fallback = false; the immediate
-      // fallback fires only after the regular output decided ⊥ — so the
-      // first non-null delivery's flag is exactly "arrived in regular mode"
-      // (the same predicate the standalone wiring read off its own Bc).
-      wef_regular_ = !fallback;
-      if (ba_out_ && !*ba_out_) try_path_w();
-    }
-  }
-}
-
-void Wps::on_star2(const std::optional<Bytes>& v, bool /*fallback*/) {
-  if (!v) return;
-  if (auto s = wire::decode_star(*v, n())) {
-    if (!star2_) {
-      star2_ = std::move(*s);
-      try_path_star2();
-    }
-  }
-}
-
-void Wps::on_ba_input(int slot, const std::optional<Bytes>& v, bool fallback) {
-  ba_->on_input_bc(slot, v, fallback);
-}
-
-void Wps::on_verdict(int slot, const std::optional<Bytes>& v, bool fallback) {
-  if (!v) return;
-  auto verdict = wire::decode_verdict(*v);
-  if (!verdict) return;
-  verdicts_.record(slot / n(), slot % n(), *verdict, fallback);
-  // Graph growth may complete the (n,ta)-star path.
-  if (ba_out_ && *ba_out_) {
-    if (self() == dealer_) dealer_try_star2();
-    try_path_star2();
-  }
-}
-
-// --------------------------------------------------- acceptance & paths ---
-
-void Wps::accept_check() {
-  accepted_ = false;
-  if (wef_ && wef_regular_) {
-    const auto& s = *wef_;
-    const Graph& g = graph(/*regular_only=*/true);
-    bool ok = static_cast<int>(s.W.size()) >= n() - ctx_.ts;
-    std::vector<bool> inW(static_cast<std::size_t>(n()), false);
-    for (int w : s.W) inW[static_cast<std::size_t>(w)] = true;
-    // No conflicting NOK pair inside W (same index, different values).
-    for (int j : s.W)
-      for (int k : s.W) {
-        if (j >= k) continue;
-        const auto& vj = verdicts_.reg(j, k);
-        const auto& vk = verdicts_.reg(k, j);
-        if (vj && vk && !vj->ok && !vk->ok && vj->nok_index == vk->nok_index &&
-            vj->nok_value != vk->nok_value)
-          ok = false;
-      }
-    // Degrees: overall and within W.
-    for (int j : s.W) {
-      if (!ok) break;
-      if (g.degree(j) + 1 < n() - ctx_.ts) ok = false;
-      int deg_in_w = 1;  // self
-      for (int k : s.W)
-        if (k != j && g.has_edge(j, k)) ++deg_in_w;
-      if (deg_in_w < n() - ctx_.ts) ok = false;
-    }
-    // (E,F) is an (n,ts)-star of G[W] (edges within W only).
-    if (ok) {
-      Graph gw = g.induced(inW);
-      for (int e : s.E)
-        if (!inW[static_cast<std::size_t>(e)]) ok = false;
-      for (int f : s.F)
-        if (!inW[static_cast<std::size_t>(f)]) ok = false;
-      if (ok) ok = is_star(gw, s.E, s.F, ctx_.ts);
-    }
-    accepted_ = ok;
-  }
-  ba_->set_input(accepted_ ? false : true);
-}
-
-void Wps::on_ba(bool b) {
-  ba_out_ = b;
-  if (!b) {
-    try_path_w();
-  } else {
-    if (self() == dealer_) dealer_try_star2();
-    try_path_star2();
-  }
-}
-
-void Wps::try_path_w() {
-  if (done_ || !ba_out_ || *ba_out_ || !wef_) return;
-  const auto& s = *wef_;
-  // Minimal structural sanity (BA=0 implies an honest party validated fully).
-  if (static_cast<int>(s.F.size()) < n() - ctx_.ts) return;
-  const bool in_w = std::find(s.W.begin(), s.W.end(), self()) != s.W.end();
-  if (in_w && rows_valid_) {
-    std::vector<Fp> out;
-    out.reserve(static_cast<std::size_t>(L_));
-    for (const auto& row : rows_) out.push_back(row.constant_term());
-    finish(std::move(out));
-    return;
-  }
-  enter_oec(s.F);
-}
-
-void Wps::try_path_star2() {
-  if (done_ || !ba_out_ || !*ba_out_ || !star2_) return;
-  const auto& s = *star2_;
-  // Wait until (E',F') is an (n,ta)-star in MY (growing) consistency graph.
-  if (!is_star(graph(/*regular_only=*/false), s.E, s.F, ctx_.ta)) return;
-  const bool in_f = std::find(s.F.begin(), s.F.end(), self()) != s.F.end();
-  if (in_f && rows_valid_) {
-    std::vector<Fp> out;
-    out.reserve(static_cast<std::size_t>(L_));
-    for (const auto& row : rows_) out.push_back(row.constant_term());
-    finish(std::move(out));
-    return;
-  }
-  enter_oec(s.F);
-}
-
-void Wps::enter_oec(const std::vector<int>& providers) {
+void Wps::complete_from(const std::vector<int>& providers) {
   if (oec_active_ || done_) return;
   oec_active_ = true;
   provider_.assign(static_cast<std::size_t>(n()), 0);
@@ -373,13 +80,6 @@ void Wps::feed_oec(int j) {
   out.reserve(static_cast<std::size_t>(L_));
   for (int l = 0; l < L_; ++l) out.push_back(oec_bank_->value(l));
   finish(std::move(out));
-}
-
-void Wps::finish(std::vector<Fp> shares) {
-  if (done_) return;
-  done_ = true;
-  shares_ = std::move(shares);
-  if (on_shares_) on_shares_(shares_);
 }
 
 }  // namespace bobw

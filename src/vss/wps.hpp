@@ -4,159 +4,61 @@
 // Schedule, relative to the publicly known base time B (Δ-aligned):
 //   B            dealer sends row polynomials q_i(x) = Q^(ℓ)(x, α_i)
 //   B+Δ          pairwise consistency points exchanged (Δ-aligned)
-//   B+2Δ         OK/NOK verdicts broadcast through ΠBC (one BC per (i,j))
-//   B+2Δ+T_BC    dealer prunes incorrect-NOK parties, computes W, finds an
-//                (n,ts)-star in G_D[W], broadcasts (W,E,F)
-//   B+2Δ+2T_BC   parties validate & accept (W,E,F) (regular-mode info only),
-//                then vote in ΠBA: 0 = accepted, 1 = go for (n,ta)-star
-//   +T_BA        BA output: 0 -> shares via W (OEC over F's points),
-//                           1 -> dealer hunts an (n,ta)-star (E',F') in the
-//                                growing graph and broadcasts it; shares via
-//                                F' (OEC over F''s points)
+//   B+2Δ         the StarCore skeleton (src/vss/star_core.hpp) with
+//                T0 = B+2Δ: verdicts, (W,E,F), acceptance, ΠBA, share
+//                paths; parties outside W/F' complete by OEC over the
+//                points of F / F'
 //   T_WPS = 2Δ + 2 T_BC + T_BA
 //
 // Output at party Pi: the L wps-shares q^(ℓ)(α_i) = Q^(ℓ)(0, α_i).
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
-#include "src/ba/ba.hpp"
-#include "src/bcast/bc.hpp"
 #include "src/bcast/bc_bank.hpp"
-#include "src/core/timing.hpp"
-#include "src/field/bivariate.hpp"
-#include "src/graph/star.hpp"
 #include "src/rs/oec_bank.hpp"
-#include "src/sim/instance.hpp"
-#include "src/vss/verdicts.hpp"
-#include "src/vss/wire.hpp"
+#include "src/vss/star_core.hpp"
 
 namespace bobw {
 
-class Wps : public Instance {
+class Wps : public StarCore {
  public:
-  /// Fires once, with the L wps-shares of this party.
-  using Handler = std::function<void(const std::vector<Fp>&)>;
-
-  /// Standalone: the instance builds its own ok-verdict BcBank, wef/★₂ ΠBC
-  /// instances and ΠBA input bank. When a parent protocol multiplexes many
-  /// ΠWPS instances over one shared schedule plane (ΠVSS: all n children
-  /// plus its own layers of one sharing), it passes `bank` plus group
-  /// indices and installs group handlers that forward into on_verdict() /
-  /// on_wef() / on_star2() / on_ba_input(); the child then only *sends*
-  /// through the shared bank. A group index of -1 keeps that layer
-  /// standalone. The schedule is unchanged either way: verdicts broadcast
-  /// at T0 = base+2Δ, wef at T0+T_BC, BA inputs at T0+2T_BC, ★₂ at
-  /// T0+2T_BC+T_BA.
-  Wps(Party& party, std::string id, int dealer, int L, const Ctx& ctx,
-      Tick base, Handler on_shares, BcBank* bank = nullptr, int ok_group = 0,
-      int wef_group = -1, int star2_group = -1, int ba_group = -1);
-
-  /// ΠBC verdict delivery for slot i*n+j (Pi's verdict on Pj). Public so a
-  /// parent-owned mega-bank group handler can drive this instance.
-  void on_verdict(int slot, const std::optional<Bytes>& v, bool fallback);
-
-  /// ΠBC delivery of the dealer's (W,E,F) broadcast (shared-plane wiring).
-  void on_wef(const std::optional<Bytes>& v, bool fallback);
-  /// ΠBC delivery of the dealer's (E',F') broadcast (shared-plane wiring).
-  void on_star2(const std::optional<Bytes>& v, bool fallback);
-  /// ΠBC delivery for ΠBA input slot j (shared-plane wiring).
-  void on_ba_input(int slot, const std::optional<Bytes>& v, bool fallback);
-
-  /// Dealer-side entry: share the L degree-ts polynomials q^(ℓ)(·)
-  /// (each is embedded into a fresh random symmetric bivariate polynomial).
-  /// Callable at or after construction; rows go out at max(now, base).
-  void deal(const std::vector<Poly>& qs);
-
-  /// Dealer-side entry with explicit bivariate polynomials (tests use this
-  /// to inject inconsistent sharings).
-  void deal_bivariate(std::vector<SymBivariate> Qs);
-
-  bool has_output() const { return done_; }
-  const std::vector<Fp>& shares() const { return shares_; }
-  int dealer() const { return dealer_; }
-  Tick base() const { return base_; }
-  /// The ΠBA verdict (0 = star path via W, 1 = (n,ta)-star path), if decided.
-  const std::optional<bool>& ba_verdict() const { return ba_out_; }
+  /// The four broadcast layers (ok verdicts, wef, ΠBA inputs, ★₂) always
+  /// ride four groups of one bank. Without `plane` the instance builds its
+  /// own four-group bank (planelayout::kOwnGroups); a parent
+  /// protocol that multiplexes many ΠWPS instances over one schedule plane
+  /// (ΠVSS: all n children plus its own layers of one sharing) passes its
+  /// bank plus this child's group indices, and its group handlers forward
+  /// into on_layer(). Verdicts broadcast at T0 = base+2Δ, wef at T0+T_BC,
+  /// BA inputs at T0+2T_BC, ★₂ at T0+2T_BC+T_BA.
+  Wps(Party& party, std::string id, int dealer, int L, const Ctx& ctx, Tick base,
+      Handler on_shares, BcBank* plane = nullptr,
+      planelayout::StarGroups groups = planelayout::kOwnGroups);
 
   void on_message(const Msg& m) override;
 
-  enum Type { kRows = 0, kPoints = 1 };
-
  private:
-  // --- wiring ---------------------------------------------------------
-  void send_rows();
-  void on_rows(const Msg& m);
+  enum : int { kPoints = 1 };  // pairwise consistency points
+
+  void start_second_layer() override;
+  const std::optional<std::vector<Fp>>& values_from(int j) const override {
+    return pts_[static_cast<std::size_t>(j)];
+  }
+  void complete_from(const std::vector<int>& providers) override;
+
   void on_points(const Msg& m);
-  void maybe_send_points();
-  void maybe_broadcast_verdict(int j);
-
-  // --- dealer ---------------------------------------------------------
-  void dealer_find_wef();
-  void dealer_try_star2();
-
-  // --- acceptance & share paths ---------------------------------------
-  void accept_check();
-  void on_ba(bool b);
-  void try_path_w();
-  void try_path_star2();
-  void enter_oec(const std::vector<int>& providers);
   void feed_oec(int j);
-  void finish(std::vector<Fp> shares);
 
-  const Graph& graph(bool regular_only) const { return verdicts_.graph(regular_only); }
-
-  int dealer_, L_;
-  Ctx ctx_;
-  Tick base_;
-  Handler on_shares_;
-
-  // Dealer state.
-  std::vector<SymBivariate> Qs_;  // only at the dealer
-  bool dealing_ = false;
-  bool wef_sent_ = false, star2_sent_ = false;
-
-  // Row/point state.
-  std::vector<Poly> rows_;
-  bool rows_valid_ = false;
-  bool points_sent_ = false;
+  std::unique_ptr<BcBank> own_plane_;  // null when riding a parent's plane
   std::vector<std::optional<std::vector<Fp>>> pts_;  // pts_[j]: L values from Pj
-
-  // Verdict state: Pi's broadcast verdict on Pj, plus the incrementally
-  // maintained consistency graphs.
-  VerdictState verdicts_;
-  std::vector<char> verdict_broadcast_;  // have I broadcast my verdict on Pj?
-
-  // Sub-protocol instances. The n² ok-verdict broadcasts are one BcBank
-  // (slot i*n+j = Pi's verdict on Pj, sender Pi) multiplexed over shared
-  // Acast/SBA rounds instead of n² independent ΠBC instances. `ok_` points
-  // either at the owned standalone bank or at the parent's shared plane;
-  // with a plane, the wef/★₂/BA layers ride it too (wef_bc_/star2_bc_ stay
-  // null and the group indices name the plane's 1-slot dealer groups).
-  std::unique_ptr<BcBank> ok_bank_;
-  BcBank* ok_ = nullptr;
-  int ok_group_ = 0;
-  int wef_group_ = -1, star2_group_ = -1;
-  std::unique_ptr<Bc> wef_bc_, star2_bc_;
-  std::unique_ptr<Ba> ba_;
-
-  // Star state.
-  std::optional<wire::StarMsg> wef_;    // decoded (W,E,F) from dealer (any mode)
-  bool wef_regular_ = false;            // ... arrived through regular mode
-  bool accepted_ = false;
-  std::optional<wire::StarMsg> star2_;  // decoded (E',F')
-  std::optional<bool> ba_out_;
 
   // Share completion. One OEC bank over the shared provider α-grid: all L
   // lanes reuse each provider's power row, duplicate scan and head weights.
   std::vector<char> provider_;  // OEC contributor set (F or F')
   std::unique_ptr<OecBank> oec_bank_;
   bool oec_active_ = false;
-  std::vector<Fp> shares_;
-  bool done_ = false;
 };
 
 }  // namespace bobw

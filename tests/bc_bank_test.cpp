@@ -661,7 +661,7 @@ Bytes plane_value(int group, int slot) {
                static_cast<std::uint8_t>(group * 31 + slot * 7 + 1)};
 }
 
-/// Slot count of plane group g (see the layout table in legacy_vssplanes.hpp).
+/// Slot count of plane group g (see the layout table in src/vss/plane.hpp).
 int plane_group_slots(int n, int g) {
   if (g <= n) return n * n;       // ok grids
   if (g <= 2 * n) return 1;       // child wefs

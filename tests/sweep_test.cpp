@@ -158,7 +158,7 @@ TEST(BcSweepBig, N128LinearPinnedAcrossThreads) {
   EXPECT_EQ(t1.msgs, std::uint64_t{1447424});
 }
 
-TEST(BcSweepBig, N256CommitteePinnedAcrossThreads) {
+TEST(BcSweepBig, N256LinearPinnedAcrossThreads) {
   const BigBcResult t2 = run_big_bc(256, 2);
   const BigBcResult t8 = run_big_bc(256, 8);
   EXPECT_EQ(t2.end, t8.end);
@@ -229,7 +229,7 @@ TEST(VssSweep32, HonestDealerSharesAtDeadline) {
 // (vss_wall_ms_n64); this test pins the protocol outcome at that size on
 // the threaded executor.
 
-TEST(VssSweep64, CommitteeModeHonestDealerSharesAtDeadline) {
+TEST(VssSweep64, HonestDealerSharesAtDeadline) {
   const int n = 64, ts = (n - 1) / 3;
   auto w = make_world(n, ts, 0, NetMode::kSynchronous);
   w.sim->set_threads(4);

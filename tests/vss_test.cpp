@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "src/vss/verdicts.hpp"
 #include "src/vss/vss.hpp"
 #include "src/vss/wps.hpp"
 #include "tests/harness.hpp"
@@ -119,6 +120,39 @@ TEST(Wps, PrivacyDealerCommunicationIndependentOfSecret) {
   // field_test; here assert the protocol only ever sends row polynomials and
   // cross points (no full bivariate) — structural property of the code.
   SUCCEED();
+}
+
+TEST(Wps, StandaloneRidesOnePlane) {
+  // A bare ΠWPS has one wiring, the same as a ΠVSS child's: its four
+  // broadcast layers — the n² ok grid, the wef, the ΠBA input bits and the
+  // ★₂ — ride four groups of ONE bank, which the instance builds itself
+  // without a parent plane. So: one Acast state and one SBA schedule per
+  // layer start time (four), all under the Wps's own plane, and no other
+  // bank.
+  const int n = 4, ts = 1, ta = 0, L = 1;
+  auto w = make_world(n, ts, ta, NetMode::kSynchronous);
+  WpsRun run(w, 0, L, 0);
+  Rng rng(3);
+  auto qs = random_inputs(L, ts, rng);
+  w.party(0).at(0, [&] { run.inst[0]->deal(qs); });
+  w.sim->run();
+  int acast = 0, sba = 0, stray = 0;
+  for (const auto& k : w.sim->shared_state_keys()) {
+    const bool is_acast = k.rfind("acast|", 0) == 0, is_sba = k.rfind("sba|", 0) == 0;
+    if (!is_acast && !is_sba) continue;
+    if (k.find("|wps/plane/") == std::string::npos) {
+      ++stray;
+      continue;
+    }
+    ++(is_acast ? acast : sba);
+  }
+  EXPECT_EQ(acast, 1);
+  EXPECT_EQ(sba, 4);
+  EXPECT_EQ(stray, 0);
+  for (int i = 0; i < n; ++i) {
+    ASSERT_TRUE(run.inst[static_cast<std::size_t>(i)]->has_output()) << i;
+    EXPECT_EQ(run.inst[static_cast<std::size_t>(i)]->shares()[0], qs[0].eval(alpha(i)));
+  }
 }
 
 // ------------------------------------------------------------------ ΠVSS --
@@ -284,6 +318,126 @@ TEST(Vss, LateDealerStillSharesEventually) {
     }
   // All-or-nothing among honest parties.
   EXPECT_TRUE(outputs == 0 || outputs == 3) << outputs;
+}
+
+// ------------------------------------------ acceptance check & W pruning --
+//
+// find_wef / accept_wef over crafted regular-mode verdict tables, n = 7,
+// ts = 2 (so n−ts = 5 and an (n,ts)-star needs |E| >= 3, |F| >= 5).
+
+constexpr int kN = 7, kTs = 2;
+
+wire::Verdict nok_verdict(std::uint32_t index, Fp value) {
+  wire::Verdict v;
+  v.ok = false;
+  v.nok_index = index;
+  v.nok_value = value;
+  return v;
+}
+
+/// Every ordered pair (i, j) of distinct parties with edge(i, j) records OK;
+/// the other pairs record nothing.
+template <typename Edge>
+VerdictState table(Edge edge) {
+  VerdictState vs(kN);
+  for (int i = 0; i < kN; ++i)
+    for (int j = 0; j < kN; ++j)
+      if (i != j && edge(i, j)) vs.record(i, j, wire::Verdict{}, /*fallback=*/false);
+  return vs;
+}
+
+VerdictState complete_table() {
+  return table([](int, int) { return true; });
+}
+
+wire::StarMsg star(std::vector<int> W, std::vector<int> E, std::vector<int> F) {
+  return {std::move(W), std::move(E), std::move(F)};
+}
+
+TEST(StarRules, AcceptsAValidStar) {
+  EXPECT_TRUE(accept_wef(complete_table(), star({0, 1, 2, 3, 4, 5, 6}, {0, 1, 2}, {0, 1, 2, 3, 4}),
+                         kTs));
+}
+
+TEST(StarRules, RejectsConflictingNokPairInsideW) {
+  // P0 and P1 NOK each other on index 0 with different values; every other
+  // pair is consistent, so degrees and the star hold.
+  auto pair01 = [](int i, int j) { return !((i == 0 && j == 1) || (i == 1 && j == 0)); };
+  VerdictState vs = table(pair01);
+  vs.record(0, 1, nok_verdict(0, Fp(5)), false);
+  vs.record(1, 0, nok_verdict(0, Fp(6)), false);
+  const auto s = star({0, 1, 2, 3, 4, 5, 6}, {2, 3, 4}, {0, 2, 3, 4, 5});
+  EXPECT_FALSE(accept_wef(vs, s, kTs));
+  // Same pair, same claimed value: not a conflict, accepted.
+  VerdictState agree = table(pair01);
+  agree.record(0, 1, nok_verdict(0, Fp(5)), false);
+  agree.record(1, 0, nok_verdict(0, Fp(5)), false);
+  EXPECT_TRUE(accept_wef(agree, s, kTs));
+}
+
+TEST(StarRules, RejectsLowDegreeInsideW) {
+  // P0..P5 are a clique; P6 is consistent with P0, P1, P2 and P5 only. Its
+  // overall degree is 4 + 1 (self) = n−ts, but W leaves out P5, so inside
+  // W it has 3 + 1 < n−ts partners.
+  auto edge = [](int i, int j) {
+    if (i == 6 || j == 6) {
+      const int other = i == 6 ? j : i;
+      return other == 0 || other == 1 || other == 2 || other == 5;
+    }
+    return true;
+  };
+  const VerdictState vs = table(edge);
+  EXPECT_FALSE(accept_wef(vs, star({0, 1, 2, 3, 4, 6}, {0, 1, 2}, {0, 1, 2, 3, 4}), kTs));
+  // The same star without P6 in W is accepted.
+  EXPECT_TRUE(accept_wef(vs, star({0, 1, 2, 3, 4}, {0, 1, 2}, {0, 1, 2, 3, 4}), kTs));
+}
+
+TEST(StarRules, RejectsANonStar) {
+  // Complete graph, W = everyone, but |E| = 2 < n−2ts.
+  EXPECT_FALSE(accept_wef(complete_table(), star({0, 1, 2, 3, 4, 5, 6}, {0, 1}, {0, 1, 2, 3, 4}),
+                          kTs));
+}
+
+TEST(StarRules, RejectsSmallWAndStarOutsideW) {
+  // |W| < n−ts and E/F outside W are rejected. Both rules are implied by
+  // the others for any decodable (duplicate-free) W: a member's degree
+  // inside W is at most |W|, and the star is checked on the graph induced
+  // by W, where a party outside W has no edges.
+  const VerdictState vs = complete_table();
+  EXPECT_FALSE(accept_wef(vs, star({0, 1, 2, 3}, {0, 1, 2}, {0, 1, 2, 3}), kTs));
+  EXPECT_FALSE(accept_wef(vs, star({0, 1, 2, 3, 4}, {0, 1, 2}, {0, 1, 2, 3, 5}), kTs));
+  EXPECT_FALSE(accept_wef(vs, star({0, 1, 2, 3, 4}, {0, 1, 5}, {0, 1, 2, 3, 4, 5}), kTs));
+}
+
+TEST(StarRules, DealerPrunesPartyWhoseNokClaimsAWrongValue) {
+  // P6 NOKs P5 (so the pair has no edge) and is consistent with everyone
+  // else: degree 5 + 1 >= n−ts. If its claimed value is the dealer's
+  // Q(α_5, α_6), P6 stays in W; if it lies, the dealer drops all of P6's
+  // edges and W shrinks to the other six.
+  Rng rng(17);
+  const Poly q = Poly::random(kTs, rng);
+  const std::vector<SymBivariate> Qs{SymBivariate::random_embedding(kTs, q, rng)};
+  auto edge = [](int i, int j) { return !((i == 6 && j == 5) || (i == 5 && j == 6)); };
+  const Fp truth = Qs[0].eval(alpha(5), alpha(6));
+
+  VerdictState honest = table(edge);
+  honest.record(6, 5, nok_verdict(0, truth), false);
+  auto wef = find_wef(honest, Qs, kTs);
+  ASSERT_TRUE(wef);
+  EXPECT_EQ(wef->W, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+
+  VerdictState liar = table(edge);
+  liar.record(6, 5, nok_verdict(0, truth + Fp(1)), false);
+  wef = find_wef(liar, Qs, kTs);
+  ASSERT_TRUE(wef);
+  EXPECT_EQ(wef->W, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+  EXPECT_TRUE(accept_wef(liar, *wef, kTs));
+
+  VerdictState bad_index = table(edge);
+  bad_index.record(6, 5, nok_verdict(1, truth), false);  // L = 1: index 1 does not exist
+  wef = find_wef(bad_index, Qs, kTs);
+  ASSERT_TRUE(wef);
+  EXPECT_EQ(wef->W, (std::vector<int>{0, 1, 2, 3, 4, 5}));
 }
 
 }  // namespace
