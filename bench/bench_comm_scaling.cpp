@@ -34,6 +34,7 @@
 #include "src/vss/vss.hpp"
 #include "src/vss/wire.hpp"
 #include "src/vss/wps.hpp"
+#include "tests/harness.hpp"
 
 using namespace bobw;
 
@@ -48,7 +49,7 @@ struct Run {
 Run measure_acast(int n, std::size_t ell_bytes, NetMode mode,
                   std::shared_ptr<Adversary> adv = nullptr) {
   auto t0 = std::chrono::steady_clock::now();
-  auto w = bench::make_world(n, (n - 1) / 3, 0, mode, std::move(adv));
+  auto w = test::make_world(n, (n - 1) / 3, 0, mode, std::move(adv));
   std::vector<std::unique_ptr<Acast>> inst(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     if (!w.runs_code(i)) continue;
@@ -68,7 +69,7 @@ Run measure_acast(int n, std::size_t ell_bytes, NetMode mode,
 Run measure_bc(int n, std::size_t ell_bytes, NetMode mode = NetMode::kSynchronous,
                std::shared_ptr<Adversary> adv = nullptr) {
   auto t0 = std::chrono::steady_clock::now();
-  auto w = bench::make_world(n, (n - 1) / 3, 0, mode, std::move(adv));
+  auto w = test::make_world(n, (n - 1) / 3, 0, mode, std::move(adv));
   std::vector<std::unique_ptr<Bc>> inst(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     if (!w.runs_code(i)) continue;
@@ -88,7 +89,7 @@ Run measure_bc(int n, std::size_t ell_bytes, NetMode mode = NetMode::kSynchronou
 Run measure_wps(int n) {
   const int ts = (n - 1) / 3, ta = std::max(0, n - 3 * ts - 1);
   auto t0 = std::chrono::steady_clock::now();
-  auto w = bench::make_world(n, ts, std::min(ta, ts), NetMode::kSynchronous);
+  auto w = test::make_world(n, ts, std::min(ta, ts), NetMode::kSynchronous);
   std::vector<std::unique_ptr<Wps>> inst(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
     inst[static_cast<std::size_t>(i)] =
@@ -119,7 +120,7 @@ struct GridRun {
 
 GridRun grid_banked(int n) {
   auto t0 = std::chrono::steady_clock::now();
-  auto w = bench::make_world(n, (n - 1) / 3, 0, NetMode::kSynchronous);
+  auto w = test::make_world(n, (n - 1) / 3, 0, NetMode::kSynchronous);
   const Bytes verdict = wire::encode_verdict(wire::Verdict{});
   std::vector<int> senders(static_cast<std::size_t>(n) * static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
@@ -143,7 +144,7 @@ GridRun grid_banked(int n) {
 
 GridRun grid_perpair(int n) {
   auto t0 = std::chrono::steady_clock::now();
-  auto w = bench::make_world(n, (n - 1) / 3, 0, NetMode::kSynchronous);
+  auto w = test::make_world(n, (n - 1) / 3, 0, NetMode::kSynchronous);
   const Bytes verdict = wire::encode_verdict(wire::Verdict{});
   std::vector<std::vector<std::unique_ptr<legacybc::Bc>>> inst(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -169,7 +170,7 @@ GridRun grid_perpair(int n) {
 
 double measure_vss(int n) {
   const int ts = (n - 1) / 3;
-  auto w = bench::make_world(n, ts, 0, NetMode::kSynchronous);
+  auto w = test::make_world(n, ts, 0, NetMode::kSynchronous);
   std::vector<std::unique_ptr<Vss>> inst(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
     inst[static_cast<std::size_t>(i)] =
@@ -360,7 +361,7 @@ int main(int argc, char** argv) {
   // heaviest scenario; the sweep total composes the three wall times.
   {
     Run async = measure_acast(64, 512, NetMode::kAsynchronous);
-    auto crash_adv = bench::crash({1, 5, 9, 13, 17});
+    auto crash_adv = test::crash({1, 5, 9, 13, 17});
     Run crash = measure_acast(64, 512, NetMode::kSynchronous, crash_adv);
     const double sweep_ms = bc64_ms + async.wall_ms + crash.wall_ms;
     std::printf("n=64 sweep (BC sync + ACast async + ACast crash): %.1f ms, %llu events\n",

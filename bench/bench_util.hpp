@@ -1,6 +1,6 @@
-// Shared helpers for the experiment binaries: world construction (same as
-// the test harness, duplicated to keep bench/ self-contained), log-log slope
-// fitting for communication exponents, and table printing.
+// Shared helpers for the bench binaries: log-log slope fitting for
+// communication exponents, table printing, the BENCH_*.json emitter and a
+// wall-clock timer. Worlds come from the test harness (tests/harness.hpp).
 #pragma once
 
 #include <algorithm>
@@ -9,48 +9,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-#include "src/ba/coin.hpp"
-#include "src/core/timing.hpp"
-#include "src/sim/party.hpp"
+#include "src/sim/ticks.hpp"
 
 namespace bobw::bench {
-
-struct World {
-  std::unique_ptr<Sim> sim;
-  std::shared_ptr<Adversary> adv;
-  std::unique_ptr<IdealCoin> coin;
-  Ctx ctx;
-  Party& party(int i) { return sim->party(i); }
-  bool runs_code(int i) const {
-    return sim->honest(i) || (adv && adv->participates(i));
-  }
-};
-
-inline World make_world(int n, int ts, int ta, NetMode mode,
-                        std::shared_ptr<Adversary> adv = nullptr,
-                        std::uint64_t seed = 42, Tick delta = 1000) {
-  World w;
-  NetConfig net;
-  net.mode = mode;
-  net.delta = delta;
-  net.clamp_sync_min();
-  w.adv = std::move(adv);
-  w.sim = std::make_unique<Sim>(n, net, seed, w.adv);
-  w.coin = std::make_unique<IdealCoin>(seed ^ 0xC01AULL);
-  w.ctx = Ctx::make(n, ts, ta, delta, w.coin.get());
-  return w;
-}
-
-inline std::shared_ptr<Adversary> crash(std::initializer_list<int> corrupt) {
-  auto a = std::make_shared<CrashAdversary>();
-  for (int c : corrupt) a->corrupt(c);
-  return a;
-}
 
 /// Least-squares slope of log(y) vs log(x) — the measured complexity
 /// exponent compared against the paper's O(n^k) claims.

@@ -12,6 +12,7 @@
 #include "bench/legacy_vssplanes.hpp"
 #include "src/bcast/bc_bank.hpp"
 #include "src/vss/vss.hpp"
+#include "tests/harness.hpp"
 
 using namespace bobw;
 
@@ -25,7 +26,7 @@ struct Sample {
 
 Sample run_vss(int n, NetMode mode, Tick dealer_delay, std::uint64_t seed, int L = 1) {
   const int ts = (n - 1) / 3;
-  auto w = bench::make_world(n, ts, 0, mode, nullptr, seed);
+  auto w = test::make_world(n, ts, 0, mode, nullptr, seed);
   std::vector<std::unique_ptr<Vss>> inst(static_cast<std::size_t>(n));
   std::vector<std::optional<Tick>> t(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
@@ -70,7 +71,7 @@ struct BigSample {
 
 BigSample run_vss_big(int n, int threads, std::uint64_t seed) {
   const int ts = (n - 1) / 3;
-  auto w = bench::make_world(n, ts, 0, NetMode::kSynchronous, nullptr, seed);
+  auto w = test::make_world(n, ts, 0, NetMode::kSynchronous, nullptr, seed);
   w.sim->set_threads(threads);
   std::vector<std::unique_ptr<Vss>> inst(static_cast<std::size_t>(n));
   std::vector<char> done(static_cast<std::size_t>(n), 0);
@@ -108,7 +109,7 @@ BigSample run_vss_big(int n, int threads, std::uint64_t seed) {
 /// Identical bytes, identical Ctx; the quotient is the schedule-sharing win.
 double run_plane_transport(int n, bool shared, std::uint64_t seed) {
   const int ts = (n - 1) / 3;
-  auto w = bench::make_world(n, ts, 0, NetMode::kSynchronous, nullptr, seed);
+  auto w = test::make_world(n, ts, 0, NetMode::kSynchronous, nullptr, seed);
   const Ctx& ctx = w.ctx;
   const Tick child_ok = 3 * ctx.delta;
   const Tick child_wef = child_ok + ctx.T.t_bc;

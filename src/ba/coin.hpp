@@ -9,8 +9,8 @@
 // *fixed* deadline), mixed-input executions decide almost-surely. ABA safety
 // never depends on coin unpredictability, so the substitution is
 // property-preserving.
-// `LocalCoin` (per-party independent bits, Ben-Or style) is kept for
-// ablation benchmarks.
+// `LocalCoin` (per-party independent bits, Ben-Or style) backs the
+// private-coin safety test (`AbaLocalCoin.SafetyHoldsWithPrivateCoins`).
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // Baselines for the paper's §1 comparison points.
 //
 // 1. The trivial "AMPC-as-BoBW" baseline is a *configuration*, not code:
-//    run the full stack with ts = ta < n/4 (see bench_resilience).
+//    run the full stack with ts = ta < n/4 (see CirEval.ResilienceMatrixN8).
 //
 // 2. SyncShareBaseline below is a purely synchronous timeout-based secret
 //    sharing + reconstruction (the behaviour of every SMPC protocol's

@@ -1,6 +1,6 @@
 // Communication metering: counts messages/bits sent by honest parties,
 // overall and per top-level protocol label — the quantities compared against
-// the paper's complexity theorems in EXPERIMENTS.md.
+// the paper's complexity theorems (see bench/bench_comm_scaling.cpp).
 //
 // Per-label counters are keyed by the route table's dense LabelId (a vector
 // index, resolved once when the route was interned) instead of re-parsing

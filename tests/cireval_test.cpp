@@ -2,12 +2,24 @@
 // plus the Circuit IR itself and the sync-only baseline failure mode.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <set>
+
 #include "src/core/runner.hpp"
 #include "src/mpc/baseline.hpp"
 #include "tests/harness.hpp"
 
 namespace bobw {
 namespace {
+
+/// The inputs f is evaluated on: party j's input if j is in the agreed CS,
+/// else the default 0.
+std::vector<Fp> cs_inputs(const MpcResult& res, const std::vector<Fp>& inputs) {
+  std::vector<Fp> eff(inputs.size(), Fp(0));
+  for (int j : res.input_cs) eff[static_cast<std::size_t>(j)] = inputs[static_cast<std::size_t>(j)];
+  return eff;
+}
 
 TEST(Circuit, BuilderAndPlainEval) {
   Circuit c(4);
@@ -106,41 +118,75 @@ TEST(CirEval, AsyncComputesFWithPossiblyDroppedInput) {
   auto res = run_mpc(cir, inputs, cfg);
   EXPECT_TRUE(res.all_honest_agree(cfg.corrupt));
   // Expected: sum over CS members' inputs.
-  std::vector<Fp> eff(inputs.size(), Fp(0));
-  for (int j : res.input_cs) eff[static_cast<std::size_t>(j)] = inputs[static_cast<std::size_t>(j)];
-  EXPECT_EQ(*res.outputs[0], cir.eval_plain(eff));
+  EXPECT_EQ(*res.outputs[0], cir.eval_plain(cs_inputs(res, inputs)));
   EXPECT_GE(static_cast<int>(res.input_cs.size()), n - cfg.ts);
 }
 
 TEST(CirEval, AsyncWithMultiplications) {
-  const int n = 5;
-  auto cir = circuits::pairwise_sums_product(n);
-  std::vector<Fp> inputs{Fp(2), Fp(4), Fp(6), Fp(8), Fp(10)};
-  MpcConfig cfg;
-  cfg.n = n;
-  cfg.ts = 1;
-  cfg.ta = 1;
-  cfg.mode = NetMode::kAsynchronous;
-  cfg.seed = 25;
-  auto res = run_mpc(cir, inputs, cfg);
-  EXPECT_TRUE(res.all_honest_agree({}));
-  std::vector<Fp> eff(inputs.size(), Fp(0));
-  for (int j : res.input_cs) eff[static_cast<std::size_t>(j)] = inputs[static_cast<std::size_t>(j)];
-  EXPECT_EQ(*res.outputs[0], cir.eval_plain(eff));
+  // Async correctness does not depend on how the actual delays compare to
+  // Δ: besides n = 5 at the default band, n = 4 computes f with delays up
+  // to Δ/100, Δ/10, Δ, 4Δ and 16Δ (finishing at 112/112/116/128/288 Δ).
+  auto run = [](int n, int ta, std::vector<Fp> inputs, Tick async_max, std::uint64_t seed) {
+    SCOPED_TRACE(testing::Message() << "n " << n << " async_max " << async_max);
+    auto cir = circuits::pairwise_sums_product(n);
+    MpcConfig cfg;
+    cfg.n = n;
+    cfg.ts = 1;
+    cfg.ta = ta;
+    cfg.mode = NetMode::kAsynchronous;
+    cfg.async_max = async_max;
+    cfg.seed = seed;
+    auto res = run_mpc(cir, inputs, cfg);
+    EXPECT_TRUE(res.all_honest_agree({}));
+    EXPECT_EQ(res.outputs[0], cir.eval_plain(cs_inputs(res, inputs)));
+  };
+  run(5, 1, {Fp(2), Fp(4), Fp(6), Fp(8), Fp(10)}, MpcConfig{}.async_max, 25);
+  for (Tick async_max : {10ULL, 100ULL, 1000ULL, 4000ULL, 16000ULL})
+    run(4, 0, {Fp(1), Fp(2), Fp(3), Fp(4)}, async_max, 2 + async_max);
 }
 
 TEST(CirEval, SyncDeadlineLinearInNPlusDepth) {
   // Thm 7.1 gives a (c1·n + D_M + c2)·Δ bound; with our substituted
   // constants the exact value differs, but the *structure* must hold:
-  // termination time is bounded by T_TripGen + (D_M + 2)Δ + slack.
-  auto cir = circuits::mult_chain(4, 3);
-  MpcConfig cfg;
-  cfg.seed = 26;
-  auto res = run_mpc(cir, {Fp(1), Fp(1), Fp(1), Fp(1)}, cfg);
-  ASSERT_TRUE(res.all_honest_agree({}));
-  Timing T = Timing::compute(cfg.ts, cfg.delta);
-  Tick bound = T.t_tripgen + static_cast<Tick>(cir.mult_depth() + 4) * cfg.delta;
-  for (int i = 0; i < 4; ++i) EXPECT_LE(res.finish_time[static_cast<std::size_t>(i)], bound);
+  // every party finishes by T_TripGen + (D_M + 4)Δ with every input in CS,
+  // each extra multiplication layer costs at most Δ more, and the width of
+  // a layer costs bits, not rounds.
+  const MpcConfig defaults;
+  const Timing T = Timing::compute(defaults.ts, defaults.delta);
+  auto finish = [&](const Circuit& cir, const std::vector<Fp>& inputs, std::uint64_t seed) {
+    SCOPED_TRACE(testing::Message() << "D_M " << cir.mult_depth() << " c_M " << cir.mult_count());
+    MpcConfig cfg;
+    cfg.seed = seed;
+    auto res = run_mpc(cir, inputs, cfg);
+    EXPECT_TRUE(res.all_honest_agree({}));
+    EXPECT_EQ(res.outputs[0], cir.eval_plain(inputs));
+    EXPECT_EQ(res.input_cs.size(), inputs.size());
+    const Tick last = *std::max_element(res.finish_time.begin(), res.finish_time.end());
+    EXPECT_LE(last, T.t_tripgen + static_cast<Tick>(cir.mult_depth() + 4) * cfg.delta);
+    return last;
+  };
+  finish(circuits::mult_chain(4, 3), {Fp(1), Fp(1), Fp(1), Fp(1)}, 26);
+
+  // D_M ∈ {1, 2, 4, 8} finish at 118/119/121/125 Δ.
+  const std::vector<Fp> inputs{Fp(2), Fp(3), Fp(4), Fp(5)};
+  const Tick depth1 = finish(circuits::mult_chain(4, 1), inputs, 6);
+  for (int depth : {2, 4, 8})
+    EXPECT_LE(finish(circuits::mult_chain(4, depth), inputs, 5 + static_cast<std::uint64_t>(depth)),
+              depth1 + static_cast<Tick>(depth - 1) * defaults.delta)
+        << "D_M " << depth;
+
+  // One layer of c_M ∈ {2, 8, 32} multiplications finishes on one tick.
+  std::optional<Tick> one_layer;
+  for (int width : {2, 8, 32}) {
+    Circuit c(4);
+    int s = c.add(c.add(c.input(0), c.input(1)), c.add(c.input(2), c.input(3)));
+    int acc = c.mul(s, s);
+    for (int k = 1; k < width; ++k) acc = c.add(acc, c.mul(s, s));
+    c.set_output(acc);
+    const Tick t = finish(c, {Fp(1), Fp(1), Fp(1), Fp(1)}, 40 + static_cast<std::uint64_t>(width));
+    if (one_layer) { EXPECT_EQ(t, *one_layer) << "c_M " << width; }
+    one_layer = t;
+  }
 }
 
 TEST(CirEval, ConfigValidation) {
@@ -201,45 +247,73 @@ TEST(CirEval, MultiOutputWithFaultAsync) {
   cfg.seed = 32;
   auto res = run_mpc(cir, inputs, cfg);
   ASSERT_TRUE(res.all_honest_agree(cfg.corrupt));
-  std::vector<Fp> eff(inputs.size(), Fp(0));
-  for (int j : res.input_cs) eff[static_cast<std::size_t>(j)] = inputs[static_cast<std::size_t>(j)];
-  EXPECT_EQ(*res.output_vectors[0], cir.eval_outputs(eff));
+  EXPECT_EQ(*res.output_vectors[0], cir.eval_outputs(cs_inputs(res, inputs)));
 }
 
 TEST(Baseline, SyncShareWorksInSyncFailsInAsync) {
   // The §1 motivation: a timeout-based synchronous protocol is correct in a
-  // synchronous network but breaks under asynchrony.
-  auto run_baseline = [](NetMode mode, std::uint64_t seed) {
-    auto w = test::make_world(4, 1, 0, mode, test::crash({3}), seed);
-    std::vector<std::unique_ptr<SyncShareBaseline>> inst(4);
-    std::vector<std::optional<std::optional<Fp>>> got(4);
-    for (int i = 0; i < 3; ++i) {
+  // synchronous network but breaks under asynchrony — at n = 4, t = 1 and
+  // in the n = 8, t = 2 example, one crashed party each.
+  auto run_baseline = [](int n, int t, NetMode mode, std::uint64_t seed) {
+    auto w = test::make_world(n, t, 0, mode, test::crash({n - 1}), seed);
+    std::vector<std::unique_ptr<SyncShareBaseline>> inst(static_cast<std::size_t>(n));
+    std::vector<std::optional<std::optional<Fp>>> got(static_cast<std::size_t>(n));
+    for (int i = 0; i < n - 1; ++i) {
       auto& slot = got[static_cast<std::size_t>(i)];
       inst[static_cast<std::size_t>(i)] = std::make_unique<SyncShareBaseline>(
-          w.party(i), "base", 0, 1, 0, [&slot](const std::optional<Fp>& v) { slot = v; });
+          w.party(i), "base", 0, t, 0, [&slot](const std::optional<Fp>& v) { slot = v; });
     }
     inst[0]->deal(Fp(4242));
     w.sim->run();
-    int correct = 0, wrong_or_missing = 0;
-    for (int i = 0; i < 3; ++i) {
-      if (got[static_cast<std::size_t>(i)] && *got[static_cast<std::size_t>(i)] &&
-          **got[static_cast<std::size_t>(i)] == Fp(4242))
-        ++correct;
-      else
-        ++wrong_or_missing;
+    int wrong_or_missing = 0;
+    for (int i = 0; i < n - 1; ++i) {
+      const auto& v = got[static_cast<std::size_t>(i)];
+      if (!v || !*v || **v != Fp(4242)) ++wrong_or_missing;
     }
-    return std::pair{correct, wrong_or_missing};
+    return wrong_or_missing;
   };
-  auto [sync_ok, sync_bad] = run_baseline(NetMode::kSynchronous, 1);
-  EXPECT_EQ(sync_ok, 3);
-  EXPECT_EQ(sync_bad, 0);
-  // Async: with delays beyond the timeout, at least one run misbehaves.
-  int bad_runs = 0;
-  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
-    auto [ok, bad] = run_baseline(NetMode::kAsynchronous, seed);
-    if (bad > 0) ++bad_runs;
+  for (auto [n, t] : {std::pair{4, 1}, std::pair{8, 2}}) {
+    EXPECT_EQ(run_baseline(n, t, NetMode::kSynchronous, 1), 0) << "n " << n;
+    // Async: with delays beyond the timeout, at least one run misbehaves.
+    int bad_runs = 0;
+    for (std::uint64_t seed = 1; seed <= 5; ++seed)
+      if (run_baseline(n, t, NetMode::kAsynchronous, seed) > 0) ++bad_runs;
+    EXPECT_GT(bad_runs, 0) << "n " << n;
   }
-  EXPECT_GT(bad_runs, 0);
+}
+
+TEST(CirEval, ResilienceMatrixN8) {
+  // The §1 example, n = 8: this protocol with ts = 2, ta = 1 is correct with
+  // 2 faults in sync and 1 in async; an asynchronous protocol run as BoBW
+  // (ts = ta) is correct with 1 fault in both networks but cannot be set to
+  // 2, since ts = ta = 2 breaks 3ts + ta < n. The sync-only baseline is the
+  // Baseline test above.
+  const int n = 8;
+  auto cir = circuits::pairwise_sums_product(n);
+  std::vector<Fp> inputs;
+  for (int i = 0; i < n; ++i) inputs.push_back(Fp(static_cast<std::uint64_t>(i + 1)));
+  auto expect_correct = [&](int ts, int ta, NetMode mode, std::set<int> corrupt, std::uint64_t seed) {
+    SCOPED_TRACE(testing::Message() << "ts " << ts << " ta " << ta << " seed " << seed);
+    MpcConfig cfg;
+    cfg.n = n;
+    cfg.ts = ts;
+    cfg.ta = ta;
+    cfg.mode = mode;
+    cfg.corrupt = std::move(corrupt);
+    cfg.seed = seed;
+    auto res = run_mpc(cir, inputs, cfg);
+    EXPECT_TRUE(res.all_honest_agree(cfg.corrupt));
+    EXPECT_EQ(res.outputs[0], cir.eval_plain(cs_inputs(res, inputs)));
+  };
+  expect_correct(2, 1, NetMode::kSynchronous, {2, 5}, 1);
+  expect_correct(2, 1, NetMode::kAsynchronous, {3}, 2);
+  expect_correct(1, 1, NetMode::kSynchronous, {6}, 3);
+  expect_correct(1, 1, NetMode::kAsynchronous, {6}, 4);
+  MpcConfig two_async;
+  two_async.n = n;
+  two_async.ts = 2;
+  two_async.ta = 2;
+  EXPECT_THROW(two_async.validate(), std::invalid_argument);
 }
 
 }  // namespace
