@@ -29,7 +29,6 @@
 #include "bench/bench_util.hpp"
 #include "bench/legacy_bcgrid.hpp"
 #include "src/bcast/acast.hpp"
-#include "src/bcast/bc.hpp"
 #include "src/bcast/bc_bank.hpp"
 #include "src/vss/vss.hpp"
 #include "src/vss/wire.hpp"
@@ -70,14 +69,14 @@ Run measure_bc(int n, std::size_t ell_bytes, NetMode mode = NetMode::kSynchronou
                std::shared_ptr<Adversary> adv = nullptr) {
   auto t0 = std::chrono::steady_clock::now();
   auto w = test::make_world(n, (n - 1) / 3, 0, mode, std::move(adv));
-  std::vector<std::unique_ptr<Bc>> inst(static_cast<std::size_t>(n));
+  std::vector<std::unique_ptr<BcBank>> inst(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     if (!w.runs_code(i)) continue;
     inst[static_cast<std::size_t>(i)] =
-        std::make_unique<Bc>(w.party(i), "bc", 0, w.ctx, 0, nullptr);
+        std::make_unique<BcBank>(w.party(i), "bc", std::vector<int>{0}, w.ctx, 0, nullptr);
   }
   Bytes m(ell_bytes, 0x5A);
-  w.party(0).at(0, [&] { inst[0]->broadcast(m); });
+  w.party(0).at(0, [&] { inst[0]->broadcast(0, m); });
   Run r;
   r.events = w.sim->run();
   auto t1 = std::chrono::steady_clock::now();
@@ -388,7 +387,8 @@ int main(int argc, char** argv) {
         "   msgs/batched %.1fx   wall %.1fx\n",
         n, n * n, static_cast<unsigned long long>(banked.msgs), banked.wall_ms,
         static_cast<unsigned long long>(perpair.msgs), perpair.wall_ms, msg_ratio, wall_ratio);
-    const std::string tag = "n" + std::to_string(n);
+    std::string tag = "n";
+    tag += std::to_string(n);
     metrics.push_back({"okgrid_msgs_" + tag, static_cast<double>(banked.msgs)});
     metrics.push_back({"okgrid_msgs_perpair_" + tag, static_cast<double>(perpair.msgs)});
     metrics.push_back({"okgrid_msg_reduction_" + tag + "_speedup", msg_ratio});

@@ -13,21 +13,6 @@ namespace bobw {
 
 namespace {
 
-constexpr auto kRelaxed = std::memory_order_relaxed;
-
-/// Dense intern of a value into (values, digest-bucket) tables: one hash per
-/// lookup, full-body compare only within the digest bucket.
-std::uint32_t intern_into(const Bytes& value, std::vector<Bytes>& values,
-                          std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>& buckets) {
-  auto& bucket = buckets[body_digest(value)];
-  for (std::uint32_t vid : bucket)
-    if (values[vid] == value) return vid;
-  const auto vid = static_cast<std::uint32_t>(values.size());
-  values.push_back(value);
-  bucket.push_back(vid);
-  return vid;
-}
-
 std::uint64_t vids_digest(const std::vector<std::uint32_t>& v) {
   std::uint64_t h = 14695981039346656037ull;
   for (std::uint32_t x : v) {
@@ -53,66 +38,57 @@ void add_tally(std::vector<Tally>& t, std::uint32_t vid) {
 
 }  // namespace
 
-// -------------------------------------------------------------- AcastShared ---
+// ---------------------------------------------------------------- BankCache ---
 
-std::shared_ptr<AcastShared> AcastShared::get(Party& party, const std::string& id) {
-  Sim& sim = party.sim();
-  auto p = sim.shared_state("acast|" + id, [&sim]() -> std::shared_ptr<void> {
-    return std::shared_ptr<AcastShared>(new AcastShared(sim));
-  });
-  return std::static_pointer_cast<AcastShared>(p);
+std::uint32_t BankCache::intern_locked(const Bytes& value) {
+  auto& bucket = vids_by_digest_[body_digest(value)];
+  for (std::uint32_t vid : bucket)
+    if (values_[vid] == value) return vid;
+  const auto vid = static_cast<std::uint32_t>(values_.size());
+  values_.push_back(value);
+  bucket.push_back(vid);
+  return vid;
 }
 
-std::uint32_t AcastShared::intern_locked(const Bytes& value) {
-  return intern_into(value, values_, vids_by_digest_);
-}
-
-std::uint32_t AcastShared::intern(const Bytes& value) {
+std::uint32_t BankCache::intern(const Bytes& value) {
   std::lock_guard<std::mutex> lock(mu_);
   return intern_locked(value);
 }
 
-Bytes AcastShared::value(std::uint32_t vid) const {
+Bytes BankCache::value(std::uint32_t vid) const {
   std::lock_guard<std::mutex> lock(mu_);
   return values_[vid];
 }
 
-AcastShared::BatchPtr AcastShared::decode(const Payload& body) {
-  std::shared_ptr<const Bytes> buf = body.data();
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_ptr_.find(buf.get());
-  if (it != by_ptr_.end()) {
-    stats_->hits.fetch_add(1, kRelaxed);
-    return it->second.batch;
-  }
-  auto& bucket = by_body_[body_digest(*buf)];
-  for (const BodyEntry& e : bucket)
-    if (*e.canonical == *buf) {
-      stats_->hits.fetch_add(1, kRelaxed);
-      by_ptr_.emplace(buf.get(), PtrEntry{buf, e.batch});
-      return e.batch;
-    }
-  stats_->misses.fetch_add(1, kRelaxed);
-  auto batch = std::make_shared<Batch>();
-  for (auto& g : bcwire::decode_acast_batch(*buf)) {
-    if (g.type > AcastBank::kReady) continue;  // Byzantine sub-type: receivers skip it
-    batch->push_back(Group{g.type, intern_locked(g.value), std::move(g.slots)});
-  }
-  BatchPtr p = std::move(batch);
-  bucket.push_back(BodyEntry{buf, p});
-  by_ptr_.emplace(buf.get(), PtrEntry{std::move(buf), p});
-  return p;
-}
-
-Payload AcastShared::canonical(Bytes&& encoded) {
-  const std::uint64_t d = body_digest(encoded);
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& bucket = canon_[d];
+Payload BankCache::canonical_locked(Bytes&& encoded) {
+  auto& bucket = canon_[body_digest(encoded)];
   for (const Payload& p : bucket)
     if (p == encoded) return p;
   Payload p(std::move(encoded));
   bucket.push_back(p);
   return p;
+}
+
+Payload BankCache::canonical(Bytes&& encoded) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return canonical_locked(std::move(encoded));
+}
+
+// -------------------------------------------------------------- AcastShared ---
+
+std::shared_ptr<AcastShared> AcastShared::get(Party& party, const std::string& id) {
+  return shared<AcastShared>(party, "acast|" + id);
+}
+
+AcastShared::BatchPtr AcastShared::decode(const Payload& body) {
+  return decode_cached(batches_, body, [this](const Bytes& buf) {
+    auto batch = std::make_shared<Batch>();
+    for (auto& g : bcwire::decode_acast_batch(buf)) {
+      if (g.type > AcastBank::kReady) continue;  // Byzantine sub-type: receivers skip it
+      batch->push_back(Group{g.type, intern_locked(g.value), std::move(g.slots)});
+    }
+    return batch;
+  });
 }
 
 // ------------------------------------------------- AcastShared::Cohort ------
@@ -326,7 +302,7 @@ AcastShared::StepResult AcastShared::step(Cursor& c, int from, const BatchPtr& b
     Cohort::Entry& e = co->entry(c.index);
     if (e.from == from && e.batch == batch) {
       // Replay hit: the transition was computed by an earlier cursor.
-      stats_->hits.fetch_add(1, kRelaxed);
+      count_lookup(true);
       res.outputs = e.fx.outputs;
       res.queued_sends = !e.fx.sends.empty();
       ++c.index;
@@ -340,7 +316,7 @@ AcastShared::StepResult AcastShared::step(Cursor& c, int from, const BatchPtr& b
     lock = std::unique_lock<std::mutex>(co->mu);
   }
   // At the tip: compute the transition once; every later member replays it.
-  stats_->misses.fetch_add(1, kRelaxed);
+  count_lookup(false);
   Cohort::Entry e;
   e.from = from;
   e.batch = batch;
@@ -363,7 +339,7 @@ std::optional<Payload> AcastShared::flush_batch(Cursor& c, const std::vector<Sen
     auto it = co->ranges.find(key);
     if (it != co->ranges.end()) {
       co->floors[static_cast<std::size_t>(c.member)] = c.flushed = c.index;
-      stats_->hits.fetch_add(1, kRelaxed);
+      count_lookup(true);
       return it->second;
     }
   }
@@ -402,28 +378,10 @@ void AcastShared::mark_flushed(Cursor& c) {
 
 std::shared_ptr<SbaShared> SbaShared::get(Party& party, const std::string& id, int K, int n,
                                           int t) {
-  Sim& sim = party.sim();
-  auto p = sim.shared_state("sba|" + id, [&sim, K, n, t]() -> std::shared_ptr<void> {
-    return std::shared_ptr<SbaShared>(new SbaShared(sim, K, n, t));
-  });
-  auto shared = std::static_pointer_cast<SbaShared>(p);
+  auto bank = shared<SbaShared>(party, "sba|" + id, K, n, t);
   // One logical bank <=> one id: every party must agree on its shape.
-  assert(shared->K_ == K && shared->n_ == n && shared->t_ == t);
-  return shared;
-}
-
-std::uint32_t SbaShared::intern_locked(const Bytes& value) {
-  return intern_into(value, values_, vids_by_digest_);
-}
-
-std::uint32_t SbaShared::intern(const Bytes& value) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return intern_locked(value);
-}
-
-Bytes SbaShared::value(std::uint32_t vid) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return values_[vid];
+  assert(bank->K_ == K && bank->n_ == n && bank->t_ == t);
+  return bank;
 }
 
 SbaShared::VidsPtr SbaShared::canonical_vids_locked(Vids&& v) {
@@ -441,216 +399,135 @@ SbaShared::VidsPtr SbaShared::canonical_vids(Vids&& v) {
 }
 
 SbaShared::ExpandedPtr SbaShared::expand(const Payload& body) {
-  std::shared_ptr<const Bytes> buf = body.data();
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = by_ptr_.find(buf.get());
-  if (it != by_ptr_.end()) {
-    stats_->hits.fetch_add(1, kRelaxed);
-    return it->second.exp;
-  }
-  auto& bucket = by_body_[body_digest(*buf)];
-  for (const BodyEntry& e : bucket)
-    if (*e.canonical == *buf) {
-      stats_->hits.fetch_add(1, kRelaxed);
-      by_ptr_.emplace(buf.get(), PtrEntry{buf, e.exp});
-      return e.exp;
+  return decode_cached(expansions_, body, [this](const Bytes& buf) {
+    auto exp = std::make_shared<Expanded>();
+    if (auto m = bcwire::decode_sba(buf)) {
+      exp->k = m->k;
+      constexpr std::uint32_t kUncovered = ~std::uint32_t{0};
+      Vids out(static_cast<std::size_t>(K_), kUncovered);
+      for (const auto& g : m->groups) {
+        const std::uint32_t vid = intern_locked(g.value);
+        for (std::uint32_t s : g.slots)
+          if (s < static_cast<std::uint32_t>(K_) && out[s] == kUncovered) out[s] = vid;
+      }
+      const std::uint32_t def_vid = intern_locked(m->def);
+      for (auto& vid : out)
+        if (vid == kUncovered) vid = def_vid;
+      // Canonicalize: only k differs between consecutive phases of a
+      // unanimous steady state, so the expansions (and every round-result
+      // cache key built from them) collapse to one vector across all phases.
+      exp->vids = canonical_vids_locked(std::move(out));
     }
-  stats_->misses.fetch_add(1, kRelaxed);
-  auto exp = std::make_shared<Expanded>();
-  if (auto m = bcwire::decode_sba(*buf)) {
-    exp->k = m->k;
-    constexpr std::uint32_t kUncovered = ~std::uint32_t{0};
-    Vids out(static_cast<std::size_t>(K_), kUncovered);
-    for (const auto& g : m->groups) {
-      const std::uint32_t vid = intern_locked(g.value);
-      for (std::uint32_t s : g.slots)
-        if (s < static_cast<std::uint32_t>(K_) && out[s] == kUncovered) out[s] = vid;
-    }
-    const std::uint32_t def_vid = intern_locked(m->def);
-    for (auto& vid : out)
-      if (vid == kUncovered) vid = def_vid;
-    // Canonicalize: only k differs between consecutive phases of a unanimous
-    // steady state, so the expansions (and every round-result cache key built
-    // from them) collapse to one vector across all phases.
-    exp->vids = canonical_vids_locked(std::move(out));
-  }
-  ExpandedPtr p = std::move(exp);
-  bucket.push_back(BodyEntry{buf, p});
-  by_ptr_.emplace(buf.get(), PtrEntry{std::move(buf), p});
-  return p;
+    return exp;
+  });
 }
 
 SbaShared::VidsPtr SbaShared::round_a(const std::vector<VidsPtr>& vote1) {
-  PtrKey key;
-  key.reserve(vote1.size());
-  for (const auto& p : vote1) key.push_back(reinterpret_cast<std::uintptr_t>(p.get()));
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = round_a_.find(key);
-  if (it != round_a_.end()) {
-    stats_->hits.fetch_add(1, kRelaxed);
-    return it->second.result;
-  }
-  stats_->misses.fetch_add(1, kRelaxed);
-  std::vector<std::vector<Tally>> tallies(static_cast<std::size_t>(K_));
-  for (const auto& exp : vote1)
-    for (int s = 0; s < K_; ++s)
-      add_tally(tallies[static_cast<std::size_t>(s)], (*exp)[static_cast<std::size_t>(s)]);
-  // Per slot: a non-⊥ value with support >= n−t becomes the proposal (at most
-  // one value can reach n−t with t < n/3; the lexicographic tie-break mirrors
-  // the per-pair std::map iteration order).
-  Vids proposal(static_cast<std::size_t>(K_), 0);
-  for (int s = 0; s < K_; ++s) {
-    std::uint32_t best = 0;
-    bool found = false;
-    for (const Tally& t : tallies[static_cast<std::size_t>(s)]) {
-      if (t.vid == 0 || t.count < n_ - t_) continue;
-      if (!found || value_less(t.vid, best)) {
-        best = t.vid;
-        found = true;
+  return memoized(round_a_, [&] {
+    std::vector<std::vector<Tally>> tallies(static_cast<std::size_t>(K_));
+    for (const auto& exp : vote1)
+      for (int s = 0; s < K_; ++s)
+        add_tally(tallies[static_cast<std::size_t>(s)], (*exp)[static_cast<std::size_t>(s)]);
+    // Per slot: a non-⊥ value with support >= n−t becomes the proposal (at
+    // most one value can reach n−t with t < n/3; the lexicographic tie-break
+    // mirrors the per-pair std::map iteration order).
+    Vids proposal(static_cast<std::size_t>(K_), 0);
+    for (int s = 0; s < K_; ++s) {
+      std::uint32_t best = 0;
+      bool found = false;
+      for (const Tally& t : tallies[static_cast<std::size_t>(s)]) {
+        if (t.vid == 0 || t.count < n_ - t_) continue;
+        if (!found || value_less(t.vid, best)) {
+          best = t.vid;
+          found = true;
+        }
       }
+      if (found) proposal[static_cast<std::size_t>(s)] = best;
     }
-    if (found) proposal[static_cast<std::size_t>(s)] = best;
-  }
-  VidsPtr out = canonical_vids_locked(std::move(proposal));
-  ResultEntry<VidsPtr> entry;
-  entry.anchors.assign(vote1.begin(), vote1.end());
-  entry.result = out;
-  round_a_.emplace(std::move(key), std::move(entry));
-  return out;
+    return canonical_vids_locked(std::move(proposal));
+  }, vote1);
 }
 
 std::shared_ptr<const SbaShared::BResult> SbaShared::round_b(const VidsPtr& prior,
                                                              const std::vector<VidsPtr>& vote2) {
   assert(prior);
-  PtrKey key;
-  key.reserve(vote2.size() + 1);
-  key.push_back(reinterpret_cast<std::uintptr_t>(prior.get()));
-  for (const auto& p : vote2) key.push_back(reinterpret_cast<std::uintptr_t>(p.get()));
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = round_b_.find(key);
-  if (it != round_b_.end()) {
-    stats_->hits.fetch_add(1, kRelaxed);
-    return it->second.result;
-  }
-  stats_->misses.fetch_add(1, kRelaxed);
-  std::vector<std::vector<Tally>> tallies(static_cast<std::size_t>(K_));
-  for (const auto& exp : vote2)
-    for (int s = 0; s < K_; ++s)
-      add_tally(tallies[static_cast<std::size_t>(s)], (*exp)[static_cast<std::size_t>(s)]);
-  auto res = std::make_shared<BResult>();
-  Vids v(static_cast<std::size_t>(K_), 0);
-  auto locked = std::make_shared<Flags>(static_cast<std::size_t>(K_), 0);
-  for (int s = 0; s < K_; ++s) {
-    const auto us = static_cast<std::size_t>(s);
-    // Most supported non-⊥ proposal; ties -> lexicographically smaller value.
-    std::uint32_t best = 0;
-    int best_c = 0;
-    for (const Tally& t : tallies[us]) {
-      if (t.vid == 0) continue;
-      if (t.count > best_c || (t.count == best_c && best_c > 0 && value_less(t.vid, best))) {
-        best = t.vid;
-        best_c = t.count;
+  return memoized(round_b_, [&] {
+    std::vector<std::vector<Tally>> tallies(static_cast<std::size_t>(K_));
+    for (const auto& exp : vote2)
+      for (int s = 0; s < K_; ++s)
+        add_tally(tallies[static_cast<std::size_t>(s)], (*exp)[static_cast<std::size_t>(s)]);
+    auto res = std::make_shared<BResult>();
+    Vids v(static_cast<std::size_t>(K_), 0);
+    auto locked = std::make_shared<Flags>(static_cast<std::size_t>(K_), 0);
+    for (int s = 0; s < K_; ++s) {
+      const auto us = static_cast<std::size_t>(s);
+      // Most supported non-⊥ proposal; ties -> lexicographically smaller value.
+      std::uint32_t best = 0;
+      int best_c = 0;
+      for (const Tally& t : tallies[us]) {
+        if (t.vid == 0) continue;
+        if (t.count > best_c || (t.count == best_c && best_c > 0 && value_less(t.vid, best))) {
+          best = t.vid;
+          best_c = t.count;
+        }
+      }
+      (*locked)[us] = best_c >= n_ - t_ ? 1 : 0;
+      if (best_c >= t_ + 1) {
+        v[us] = best;
+      } else if (!(*locked)[us]) {
+        v[us] = 0;  // ⊥ until the king speaks
+      } else {
+        v[us] = (*prior)[us];  // unreachable with n > 3t; kept for exactness
       }
     }
-    (*locked)[us] = best_c >= n_ - t_ ? 1 : 0;
-    if (best_c >= t_ + 1) {
-      v[us] = best;
-    } else if (!(*locked)[us]) {
-      v[us] = 0;  // ⊥ until the king speaks
-    } else {
-      v[us] = (*prior)[us];  // unreachable with n > 3t; kept for exactness
-    }
-  }
-  res->v = canonical_vids_locked(std::move(v));
-  res->locked = std::move(locked);
-  std::shared_ptr<const BResult> out = std::move(res);
-  ResultEntry<std::shared_ptr<const BResult>> entry;
-  entry.anchors.push_back(prior);
-  entry.anchors.insert(entry.anchors.end(), vote2.begin(), vote2.end());
-  entry.result = out;
-  round_b_.emplace(std::move(key), std::move(entry));
-  return out;
+    res->v = canonical_vids_locked(std::move(v));
+    res->locked = std::move(locked);
+    return res;
+  }, prior, vote2);
 }
 
 SbaShared::VidsPtr SbaShared::round_c(const VidsPtr& v, const FlagsPtr& locked,
                                       const VidsPtr& king) {
   assert(v && locked);
   if (!king) return v;
-  PtrKey key{reinterpret_cast<std::uintptr_t>(v.get()),
-             reinterpret_cast<std::uintptr_t>(locked.get()),
-             reinterpret_cast<std::uintptr_t>(king.get())};
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = round_c_.find(key);
-  if (it != round_c_.end()) {
-    stats_->hits.fetch_add(1, kRelaxed);
-    return it->second.result;
-  }
-  stats_->misses.fetch_add(1, kRelaxed);
-  Vids out(*v);
-  for (std::size_t s = 0; s < out.size(); ++s)
-    if (!(*locked)[s]) out[s] = (*king)[s];
-  VidsPtr res = canonical_vids_locked(std::move(out));
-  ResultEntry<VidsPtr> entry;
-  entry.anchors = {v, locked, king};
-  entry.result = res;
-  round_c_.emplace(std::move(key), std::move(entry));
-  return res;
+  return memoized(round_c_, [&] {
+    Vids out(*v);
+    for (std::size_t s = 0; s < out.size(); ++s)
+      if (!(*locked)[s]) out[s] = (*king)[s];
+    return canonical_vids_locked(std::move(out));
+  }, v, locked, king);
 }
 
 Payload SbaShared::encode(std::uint32_t k, const VidsPtr& vids) {
   assert(vids);
-  PtrKey key{static_cast<std::uintptr_t>(k), reinterpret_cast<std::uintptr_t>(vids.get())};
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = encode_.find(key);
-  if (it != encode_.end()) {
-    stats_->hits.fetch_add(1, kRelaxed);
-    return it->second.result;
-  }
-  stats_->misses.fetch_add(1, kRelaxed);
-  // Default = the most frequent value (ties -> lexicographically smaller
-  // value); the rest go out as explicit groups in first-appearance order.
-  std::unordered_map<std::uint32_t, int> freq;
-  std::vector<std::uint32_t> order;
-  for (std::uint32_t vid : *vids) {
-    if (++freq[vid] == 1) order.push_back(vid);
-  }
-  std::uint32_t def_vid = order.empty() ? 0 : order.front();
-  for (std::uint32_t vid : order) {
-    const int c = freq[vid], best = freq[def_vid];
-    if (c > best || (c == best && value_less(vid, def_vid))) def_vid = vid;
-  }
-  bcwire::SbaMsg msg;
-  msg.k = k;
-  msg.def = values_[def_vid];
-  std::unordered_map<std::uint32_t, std::size_t> group_of;
-  for (std::uint32_t s = 0; s < static_cast<std::uint32_t>(K_); ++s) {
-    const std::uint32_t vid = (*vids)[s];
-    if (vid == def_vid) continue;
-    auto [git, fresh] = group_of.try_emplace(vid, msg.groups.size());
-    if (fresh) msg.groups.push_back(bcwire::SbaMsg::Group{values_[vid], {}});
-    msg.groups[git->second].slots.push_back(s);
-  }
-  Bytes encoded = bcwire::encode_sba(msg);
-  // Byte-canonicalize so identical vectors reached through distinct vid
-  // arrays still share one buffer (and the receivers' pointer cache).
-  Payload out;
-  auto& bucket = canon_[body_digest(encoded)];
-  bool found = false;
-  for (const Payload& p : bucket)
-    if (p == encoded) {
-      out = p;
-      found = true;
-      break;
+  return memoized(encode_, [&] {
+    // Default = the most frequent value (ties -> lexicographically smaller
+    // value); the rest go out as explicit groups in first-appearance order.
+    std::unordered_map<std::uint32_t, int> freq;
+    std::vector<std::uint32_t> order;
+    for (std::uint32_t vid : *vids) {
+      if (++freq[vid] == 1) order.push_back(vid);
     }
-  if (!found) {
-    out = Payload(std::move(encoded));
-    bucket.push_back(out);
-  }
-  ResultEntry<Payload> entry;
-  entry.anchors.push_back(vids);
-  entry.result = out;
-  encode_.emplace(std::move(key), std::move(entry));
-  return out;
+    std::uint32_t def_vid = order.empty() ? 0 : order.front();
+    for (std::uint32_t vid : order) {
+      const int c = freq[vid], best = freq[def_vid];
+      if (c > best || (c == best && value_less(vid, def_vid))) def_vid = vid;
+    }
+    bcwire::SbaMsg msg;
+    msg.k = k;
+    msg.def = value_locked(def_vid);
+    std::unordered_map<std::uint32_t, std::size_t> group_of;
+    for (std::uint32_t s = 0; s < static_cast<std::uint32_t>(K_); ++s) {
+      const std::uint32_t vid = (*vids)[s];
+      if (vid == def_vid) continue;
+      auto [git, fresh] = group_of.try_emplace(vid, msg.groups.size());
+      if (fresh) msg.groups.push_back(bcwire::SbaMsg::Group{value_locked(vid), {}});
+      msg.groups[git->second].slots.push_back(s);
+    }
+    // Byte-canonicalize so identical vectors reached through distinct vid
+    // arrays still share one buffer (and the receivers' pointer cache).
+    return canonical_locked(bcwire::encode_sba(msg));
+  }, k, vids);
 }
 
 }  // namespace bobw

@@ -25,6 +25,8 @@
 // independent of the cross-party (and cross-thread) intern interleaving —
 // required for the window executor's bit-identical-traces guarantee.
 //
+// BankCache holds both cache layers, the value intern and the round-result
+// memo; AcastShared and SbaShared add only what is specific to their bank.
 // All methods lock internally; window-executor worker threads reach one
 // shared object concurrently.
 #pragma once
@@ -38,14 +40,159 @@
 #include <vector>
 
 #include "src/common/codec.hpp"
+#include "src/common/digest.hpp"
 #include "src/sim/party.hpp"
 
 namespace bobw {
 
 // ---------------------------------------------------------------------------
-// AcastShared — one logical AcastBank's value intern + batch decode cache.
+// BankCache — the cache core of both banks: the lock, the hit/miss counter,
+// the value intern, the byte-canonical payload table and the two memo
+// shapes. Every lookup through it counts exactly one hit or one miss.
 // ---------------------------------------------------------------------------
-class AcastShared {
+class BankCache {
+ public:
+  /// Dense value ids: one digest per lookup, full-body compare only within
+  /// the digest bucket.
+  std::uint32_t intern(const Bytes& value);
+  Bytes value(std::uint32_t vid) const;
+
+ protected:
+  explicit BankCache(Sim& sim) : stats_(&sim.decode_cache_stats()) {}
+
+  /// The per-Sim `Bank` stored under `key`, built from (sim, args...) by
+  /// its first caller.
+  template <typename Bank, typename... Args>
+  static std::shared_ptr<Bank> shared(Party& party, const std::string& key, Args... args) {
+    Sim& sim = party.sim();
+    return std::static_pointer_cast<Bank>(sim.shared_state(key, [&]() -> std::shared_ptr<void> {
+      return std::shared_ptr<Bank>(new Bank(sim, args...));
+    }));
+  }
+
+  /// Decoded payloads, cached by buffer identity (one fan-out), then by
+  /// byte content (distinct senders emitting identical bytes). Each entry
+  /// holds its buffer, so a freed buffer's address can never be recycled
+  /// into a stale pointer hit.
+  template <typename T>
+  struct PayloadMemo {
+    struct Entry {
+      std::shared_ptr<const Bytes> buf;
+      std::shared_ptr<const T> value;
+    };
+    std::unordered_map<const Bytes*, Entry> by_ptr;
+    std::unordered_map<std::uint64_t, std::vector<Entry>> by_body;
+  };
+
+  /// `decode(bytes)` runs under the lock on a miss.
+  template <typename T, typename Decode>
+  std::shared_ptr<const T> decode_cached(PayloadMemo<T>& memo, const Payload& body,
+                                         Decode&& decode) {
+    std::shared_ptr<const Bytes> buf = body.data();
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = memo.by_ptr.find(buf.get());
+    if (it != memo.by_ptr.end()) {
+      count_lookup(true);
+      return it->second.value;
+    }
+    auto& bucket = memo.by_body[body_digest(*buf)];
+    for (const auto& e : bucket)
+      if (*e.buf == *buf) {
+        count_lookup(true);
+        memo.by_ptr.emplace(buf.get(), typename PayloadMemo<T>::Entry{buf, e.value});
+        return e.value;
+      }
+    count_lookup(false);
+    std::shared_ptr<const T> value = decode(*buf);
+    bucket.push_back({buf, value});
+    memo.by_ptr.emplace(buf.get(), typename PayloadMemo<T>::Entry{std::move(buf), value});
+    return value;
+  }
+
+  /// Pure results keyed on the identity of their inputs. An input is an
+  /// integer (keyed by value), a shared pointer (keyed by address and
+  /// anchored for the memo's lifetime) or a vector of shared pointers.
+  using PtrKey = std::vector<std::uintptr_t>;
+  struct PtrKeyHash {
+    std::size_t operator()(const PtrKey& k) const {
+      std::uint64_t h = 14695981039346656037ull;
+      for (std::uintptr_t p : k) {
+        h ^= static_cast<std::uint64_t>(p);
+        h *= 1099511628211ull;
+      }
+      return static_cast<std::size_t>(h);
+    }
+  };
+  template <typename V>
+  struct ResultMemo {
+    struct Entry {
+      std::vector<std::shared_ptr<const void>> anchors;
+      V result;
+    };
+    std::unordered_map<PtrKey, Entry, PtrKeyHash> map;
+  };
+
+  /// `compute()` runs under the lock on a miss.
+  template <typename V, typename Compute, typename... In>
+  V memoized(ResultMemo<V>& memo, Compute&& compute, const In&... in) {
+    PtrKey key;
+    std::size_t words = 0;
+    (visit(in, [&words](std::uintptr_t, const auto*) { ++words; }), ...);
+    key.reserve(words);
+    (visit(in, [&key](std::uintptr_t w, const auto*) { key.push_back(w); }), ...);
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = memo.map.find(key);
+    if (it != memo.map.end()) {
+      count_lookup(true);
+      return it->second.result;
+    }
+    count_lookup(false);
+    typename ResultMemo<V>::Entry e{{}, compute()};
+    (visit(in, [&e](std::uintptr_t, const auto* p) { if (p) e.anchors.push_back(*p); }), ...);
+    return memo.map.emplace(std::move(key), std::move(e)).first->second.result;
+  }
+
+  void count_lookup(bool hit) {
+    (hit ? stats_->hits : stats_->misses).fetch_add(1, std::memory_order_relaxed);
+  }
+
+  // The *_locked members require mu_.
+  std::uint32_t intern_locked(const Bytes& value);
+  const Bytes& value_locked(std::uint32_t vid) const { return values_[vid]; }
+  /// Lex compare of interned values without copying out.
+  bool value_less(std::uint32_t a, std::uint32_t b) const { return values_[a] < values_[b]; }
+  /// Canonical shared payload for freshly encoded bytes: senders emitting
+  /// identical bytes share ONE buffer, so all their receivers hit the
+  /// pointer layer and the Sim anchors one copy of the bytes instead of n.
+  Payload canonical_locked(Bytes&& encoded);
+  Payload canonical(Bytes&& encoded);
+
+  mutable std::mutex mu_;
+
+ private:
+  static void visit(std::uint32_t x, const auto& f) {
+    f(std::uintptr_t{x}, static_cast<const std::shared_ptr<const void>*>(nullptr));
+  }
+  template <typename P>
+  static void visit(const std::shared_ptr<P>& p, const auto& f) {
+    f(reinterpret_cast<std::uintptr_t>(p.get()), &p);
+  }
+  template <typename P>
+  static void visit(const std::vector<std::shared_ptr<P>>& ps, const auto& f) {
+    for (const auto& p : ps) visit(p, f);
+  }
+
+  Sim::DecodeCacheStats* stats_;
+  std::vector<Bytes> values_;
+  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> vids_by_digest_;
+  std::unordered_map<std::uint64_t, std::vector<Payload>> canon_;
+};
+
+// ---------------------------------------------------------------------------
+// AcastShared — one logical AcastBank's batch decode cache and receiver
+// automaton.
+// ---------------------------------------------------------------------------
+class AcastShared : public BankCache {
  public:
   /// The per-Sim instance for the logical bank `id` (the Instance id string,
   /// identical on every party by construction).
@@ -61,19 +208,10 @@ class AcastShared {
   using Batch = std::vector<Group>;
   using BatchPtr = std::shared_ptr<const Batch>;
 
-  std::uint32_t intern(const Bytes& value);
-  Bytes value(std::uint32_t vid) const;
-
   /// Decoded view of a coalesced Acast batch; cached by payload identity,
   /// then by byte content. Never null (a malformed body decodes to its
   /// well-formed prefix, possibly empty — same rule as bcwire).
   BatchPtr decode(const Payload& body);
-
-  /// Canonical shared payload for freshly encoded bytes: senders emitting
-  /// identical batches (every honest party's echo flush in a round-crisp
-  /// window) share ONE buffer, so all their receivers hit the pointer layer
-  /// and the Sim anchors one copy of the bytes instead of n.
-  Payload canonical(Bytes&& encoded);
 
   // --- Shared receiver automaton (cohorts) ---------------------------------
   //
@@ -143,7 +281,8 @@ class AcastShared {
   /// The coalesced wire batch for `own` (sender-side INITs) + any branch
   /// carry-over + the log range [flushed, index), grouped by (type, value)
   /// in first-appearance order; nullopt when there is nothing to send.
-  /// Advances the cursor's flush point.
+  /// Advances the cursor's flush point. Identical batches (every honest
+  /// party's echo flush in a round-crisp window) share one buffer.
   std::optional<Payload> flush_batch(Cursor& c, const std::vector<Send>& own);
 
   /// Record that the cursor has nothing pending (same-window bookkeeping
@@ -153,36 +292,21 @@ class AcastShared {
   ~AcastShared();
 
  private:
-  explicit AcastShared(Sim& sim) : stats_(&sim.decode_cache_stats()) {}
+  friend class BankCache;
+  explicit AcastShared(Sim& sim) : BankCache(sim) {}
 
-  std::uint32_t intern_locked(const Bytes& value);
   void branch(Cursor& c, Cohort& old);
   void maybe_prune(Cohort& co);
 
-  Sim::DecodeCacheStats* stats_;
-  mutable std::mutex mu_;
-  std::vector<Bytes> values_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> vids_by_digest_;
-
-  struct PtrEntry {
-    std::shared_ptr<const Bytes> anchor;  // pins the pointer key
-    BatchPtr batch;
-  };
-  std::unordered_map<const Bytes*, PtrEntry> by_ptr_;
-  struct BodyEntry {
-    std::shared_ptr<const Bytes> canonical;  // shares the first-seen buffer
-    BatchPtr batch;
-  };
-  std::unordered_map<std::uint64_t, std::vector<BodyEntry>> by_body_;
-  std::unordered_map<std::uint64_t, std::vector<Payload>> canon_;
+  PayloadMemo<Batch> batches_;
   std::shared_ptr<Cohort> root_;
 };
 
 // ---------------------------------------------------------------------------
-// SbaShared — one logical SbaBank's intern, expansion and round-result
-// caches. K, n, t are fixed per logical bank.
+// SbaShared — one logical SbaBank's expansion, round-result and encode
+// caches. K, n, t are fixed per logical bank; vid 0 is ⊥.
 // ---------------------------------------------------------------------------
-class SbaShared {
+class SbaShared : public BankCache {
  public:
   static std::shared_ptr<SbaShared> get(Party& party, const std::string& id, int K, int n, int t);
 
@@ -199,9 +323,6 @@ class SbaShared {
     VidsPtr vids;
   };
   using ExpandedPtr = std::shared_ptr<const Expanded>;
-
-  std::uint32_t intern(const Bytes& value);
-  Bytes value(std::uint32_t vid) const;
 
   /// Canonical (content-interned) per-slot vid vector. Round-result and
   /// encode caches key on VECTOR IDENTITY, so every producer of a vids
@@ -238,60 +359,20 @@ class SbaShared {
   Payload encode(std::uint32_t k, const VidsPtr& vids);
 
  private:
-  SbaShared(Sim& sim, int K, int n, int t)
-      : stats_(&sim.decode_cache_stats()), K_(K), n_(n), t_(t) {
+  friend class BankCache;
+  SbaShared(Sim& sim, int K, int n, int t) : BankCache(sim), K_(K), n_(n), t_(t) {
     intern_locked(Bytes{});  // vid 0 is ⊥, so vid != 0 <=> non-empty value
   }
 
-  std::uint32_t intern_locked(const Bytes& value);
   VidsPtr canonical_vids_locked(Vids&& v);
-  /// Lex compare of interned values without copying out.
-  bool value_less(std::uint32_t a, std::uint32_t b) const {
-    return values_[a] < values_[b];
-  }
 
-  Sim::DecodeCacheStats* stats_;
   int K_, n_, t_;
-  mutable std::mutex mu_;
-  std::vector<Bytes> values_;
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> vids_by_digest_;
-
-  struct PtrEntry {
-    std::shared_ptr<const Bytes> anchor;
-    ExpandedPtr exp;
-  };
-  std::unordered_map<const Bytes*, PtrEntry> by_ptr_;
-  struct BodyEntry {
-    std::shared_ptr<const Bytes> canonical;
-    ExpandedPtr exp;
-  };
-  std::unordered_map<std::uint64_t, std::vector<BodyEntry>> by_body_;
-  std::unordered_map<std::uint64_t, std::vector<Payload>> canon_;
   std::unordered_map<std::uint64_t, std::vector<VidsPtr>> vids_canon_;
-
-  /// Pointer-list key over the argument vectors. Entries anchor the keyed
-  /// pointers (defensive: callers' argument vectors are themselves owned by
-  /// the caches above, but a refcount bump is cheap insurance).
-  using PtrKey = std::vector<std::uintptr_t>;
-  struct PtrKeyHash {
-    std::size_t operator()(const PtrKey& k) const {
-      std::uint64_t h = 14695981039346656037ull;
-      for (std::uintptr_t p : k) {
-        h ^= static_cast<std::uint64_t>(p);
-        h *= 1099511628211ull;
-      }
-      return static_cast<std::size_t>(h);
-    }
-  };
-  template <typename V>
-  struct ResultEntry {
-    std::vector<std::shared_ptr<const void>> anchors;
-    V result;
-  };
-  std::unordered_map<PtrKey, ResultEntry<VidsPtr>, PtrKeyHash> round_a_;
-  std::unordered_map<PtrKey, ResultEntry<std::shared_ptr<const BResult>>, PtrKeyHash> round_b_;
-  std::unordered_map<PtrKey, ResultEntry<VidsPtr>, PtrKeyHash> round_c_;
-  std::unordered_map<PtrKey, ResultEntry<Payload>, PtrKeyHash> encode_;
+  PayloadMemo<Expanded> expansions_;
+  ResultMemo<VidsPtr> round_a_;
+  ResultMemo<std::shared_ptr<const BResult>> round_b_;
+  ResultMemo<VidsPtr> round_c_;
+  ResultMemo<Payload> encode_;
 };
 
 }  // namespace bobw

@@ -288,7 +288,7 @@ BcBank::BcBank(Party& party, const std::string& id, std::vector<Group> groups, c
         party_, sid, static_cast<int>(part_slots_[p].size()), ctx_, part_start[p] + 3 * ctx_.delta,
         [this, p](int ls) -> std::uint32_t {
           // Input for the slot's SBA at local time T0+3Δ: current Acast
-          // output or ⊥ — exactly Bc's input rule, in vid space.
+          // output or ⊥ — exactly ΠBC's input rule, in vid space.
           const auto global = static_cast<int>(part_slots_[p][static_cast<std::size_t>(ls)]);
           const auto avid = acast_->output_vid(global);
           return avid ? wrap_vid(static_cast<int>(p), *avid) : 0;

@@ -1,6 +1,20 @@
 // BcBank — a slot-multiplexed ΠBC broadcast bank over a multi-group slot
 // space.
 //
+// ΠBC is synchronous broadcast with asynchronous guarantees (paper §3.1,
+// Fig 1, Theorem 3.5). The sender Acasts m at the scheduled start time T0.
+// At local time T0+3Δ every party joins an SBA (phase-king) instance with
+// input = its current Acast output (⊥ if none). At T0+T_BC (T_BC =
+// 3Δ+T_BGP) the regular-mode output is m* if m* was received from the Acast
+// *and* the SBA decided m*; otherwise ⊥. Parties that output ⊥ later switch
+// to the Acast value the moment it arrives (fallback mode).
+//
+// All parties must agree on T0 — it is part of the enclosing protocol's
+// public schedule. A sender that starts late simply misses the regular
+// window; receivers still get the value through fallback mode, which is
+// exactly the paper's weak validity/consistency behaviour. A lone ΠBC is a
+// one-group bank with one slot (the single-group constructor).
+//
 // The paper's ΠWPS/ΠVSS pairwise-consistency step runs n² independent ΠBC
 // instances with one shared public start time; ΠBA runs n; and one ΠVSS
 // sharing runs n+1 such grids (the dealer's plus one per child-ΠWPS). Each
@@ -32,8 +46,7 @@
 //    distinct layer start times, so it needs exactly seven SBA schedules —
 //    independent of n — where one bank per group would pay 4n+4.
 //  * BcBank composes the two and exposes per-(group, slot) broadcast() and
-//    handler semantics identical to Bc's. Bc itself is the one-group, K = 1
-//    wrapper.
+//    the per-slot ΠBC handler.
 //
 // Decode/tally state that is a pure function of payload bytes lives in
 // per-Sim shared objects (src/bcast/bank_shared.hpp): value interning, batch
@@ -233,9 +246,9 @@ class SbaBank : public Instance {
 // ---------------------------------------------------------------------------
 class BcBank {
  public:
-  /// Per-slot ΠBC handler, semantics identical to Bc::Handler: fires once
-  /// with the regular-mode output at T0+T_BC (value or ⊥) and once more if a
-  /// later fallback switch happens. The slot index is group-local.
+  /// Per-slot ΠBC handler (value = nullopt means ⊥): fires once with the
+  /// regular-mode output at T0+T_BC and once more if a later fallback switch
+  /// happens. The slot index is group-local.
   using Handler = std::function<void(int slot, const std::optional<Bytes>& value, bool fallback)>;
 
   /// One logical ΠBC grid: per-slot accepted senders, the publicly known
@@ -251,8 +264,8 @@ class BcBank {
   /// schedules over the union of all groups' slots.
   BcBank(Party& party, const std::string& id, std::vector<Group> groups, const Ctx& ctx);
 
-  /// Single-group convenience (Bc, and the own input bank of a ΠBA built
-  /// without a parent plane).
+  /// Single-group convenience (a lone ΠBC, and the own input bank of a ΠBA
+  /// built without a parent plane).
   BcBank(Party& party, const std::string& id, std::vector<int> senders, const Ctx& ctx,
          Tick start_time, Handler handler);
 

@@ -147,17 +147,15 @@ void EventQueue::harvest(Tick t, DueBatch& out) {
   }
 }
 
-void EventQueue::restore(DueBatch&& b, std::size_t di, std::size_t ti) {
-  if (di < b.deliveries.size()) {
+void EventQueue::restore(DueBatch&& b) {
+  if (!b.deliveries.empty()) {
     Bucket& bk = bucket_for(b.tick);
     assert(bk.dvs.empty() && "restore into a live bucket");
-    bk.dvs.assign(std::make_move_iterator(b.deliveries.begin() +
-                      static_cast<std::ptrdiff_t>(di)),
-                  std::make_move_iterator(b.deliveries.end()));
+    bk.dvs = std::move(b.deliveries);
     n_deliveries_ += bk.dvs.size();
   }
-  for (std::size_t i = ti; i < b.timers.size(); ++i) {
-    timers_.push_back(std::move(b.timers[i]));
+  for (Ev& e : b.timers) {
+    timers_.push_back(std::move(e));
     std::push_heap(timers_.begin(), timers_.end(), ev_later);
   }
 }

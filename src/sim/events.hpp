@@ -105,18 +105,12 @@ class EventQueue {
   /// Pop everything due at `t` into `out` (clearing it first) and advance
   /// now() to `t`. Requires t == next_time().
   void harvest(Tick t, DueBatch& out);
-  /// Return the unexecuted tail of a harvested batch (deliveries from index
-  /// `di`, timers from `ti`) so a budget-stopped run leaves the queue exactly
-  /// as a sequential stop would.
-  void restore(DueBatch&& b, std::size_t di, std::size_t ti);
+  /// Put a whole harvested batch back, leaving the queue as it was before
+  /// harvest() (the executor hands ticks it cannot shard to step()).
+  void restore(DueBatch&& b);
   /// Claim the next global sequence number (the executor's merge phase
   /// assigns seqs to window-local spawned events in replay order).
   std::uint64_t alloc_seq() { return seq_++; }
-  /// Earliest pending timer, or nullptr (the executor's micro-loop merges
-  /// the live lane's same-tick front with a harvested batch).
-  const Ev* front_timer() const {
-    return timers_.empty() ? nullptr : &timers_.front();
-  }
 
  private:
   // One calendar bucket: deliveries destined for a single tick, consumed

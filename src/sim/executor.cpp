@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 #include <utility>
 
 #include "src/sim/party.hpp"
@@ -51,6 +52,7 @@ std::uint64_t WindowExecutor::run(Tick max_time, std::uint64_t max_events) {
   EventQueue& q = sim_->queue();
   q.set_truncated(false);
   std::uint64_t executed = 0;
+  std::optional<Tick> stepping;  // a harvested tick handed back to step()
   while (!q.empty()) {
     if (executed >= max_events) {
       q.set_truncated(true);
@@ -61,9 +63,10 @@ std::uint64_t WindowExecutor::run(Tick max_time, std::uint64_t max_events) {
       q.set_truncated(true);
       break;
     }
-    if (q.due_deliveries(t) < min_batch_) {
+    if (t == stepping || q.due_deliveries(t) < min_batch_) {
       // Thin tick (timer-only, small-n round, async-ish stragglers): the
-      // sharding overhead exceeds the work — take the sequential engine.
+      // sharding overhead exceeds the work — take the sequential engine, as
+      // does a tick handed back below.
       q.step();
       ++executed;
       continue;
@@ -75,78 +78,20 @@ std::uint64_t WindowExecutor::run(Tick max_time, std::uint64_t max_events) {
         owned = false;
         break;
       }
-    const std::uint64_t budget = max_events - executed;
     const std::uint64_t due =
         batch_.deliveries.size() + batch_.timers.size();
     // Window-spawned events also count against the budget; 2x + slack is a
-    // conservative bound on a window's total. If the budget might bite, run
-    // the exact micro-loop so the stop lands on precisely the right event.
-    if (!owned || due * 2 + 1024 > budget) {
-      bool stopped = false;
-      executed += run_window_sequential(budget, &stopped);
-      if (stopped) {
-        q.set_truncated(true);
-        break;
-      }
+    // conservative bound on a window's total. An unowned closure cannot be
+    // sharded, and a budget that might bite must stop on precisely the right
+    // event: either way the tick goes back to the queue and step() runs it.
+    if (!owned || due * 2 + 1024 > max_events - executed) {
+      q.restore(std::move(batch_));
+      stepping = t;
       continue;
     }
     executed += run_window_parallel();
   }
   return executed;
-}
-
-std::uint64_t WindowExecutor::run_window_sequential(std::uint64_t budget,
-                                                    bool* stopped) {
-  EventQueue& q = sim_->queue();
-  const Tick t = batch_.tick;
-  std::uint64_t done = 0;
-  std::size_t di = 0, ti = 0;
-  for (;;) {
-    if (done >= budget) {
-      q.restore(std::move(batch_), di, ti);
-      *stopped = true;
-      return done;
-    }
-    // 3-way min over (pri, seq): harvested deliveries (pri kDelivery),
-    // harvested timers, and the live timer lane's same-tick front (events
-    // spawned by this very loop — deliveries it posts land at > t).
-    int kind = -1;
-    int bpri = 0;
-    std::uint64_t bseq = 0;
-    if (di < batch_.deliveries.size()) {
-      kind = 0;
-      bpri = EventQueue::kDelivery;
-      bseq = batch_.deliveries[di].seq;
-    }
-    if (ti < batch_.timers.size()) {
-      const auto& e = batch_.timers[ti];
-      if (kind < 0 || e.pri < bpri || (e.pri == bpri && e.seq < bseq)) {
-        kind = 1;
-        bpri = e.pri;
-        bseq = e.seq;
-      }
-    }
-    const EventQueue::Ev* f = q.front_timer();
-    if (f != nullptr && f->time == t &&
-        (kind < 0 || f->pri < bpri || (f->pri == bpri && f->seq < bseq))) {
-      kind = 2;
-    }
-    if (kind < 0) return done;
-    switch (kind) {
-      case 0:
-        sim_->deliver_now(batch_.deliveries[di].msg);
-        ++di;
-        break;
-      case 1:
-        batch_.timers[ti].fn();
-        ++ti;
-        break;
-      default:
-        q.step();  // the same-tick timer front is the queue's global min
-        break;
-    }
-    ++done;
-  }
 }
 
 void WindowExecutor::execute_party(int p) {

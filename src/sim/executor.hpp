@@ -33,12 +33,14 @@
 // metric lands in the single-thread position. Golden traces stay
 // bit-identical at any thread count.
 //
-// Ticks with fewer due deliveries than `min_batch`, with closures whose
-// owner is unknown (EventQueue::kNoOwner — ad-hoc test timers), or that
-// would cross the event budget run on an exact sequential micro-loop
-// instead. The argument is profile-independent: async jitter is drawn in
-// Sim::post during the merge replay, in the same canonical order as the
-// sequential engine, so asynchronous runs use this executor too.
+// Ticks with fewer due deliveries than `min_batch` run on the sequential
+// engine, EventQueue::step. So do ticks with closures whose owner is
+// unknown (EventQueue::kNoOwner — ad-hoc test timers) or that might cross
+// the event budget: the harvested batch goes back into the queue whole and
+// step() runs the tick, checking the budget before every event. The
+// argument is profile-independent: async jitter is drawn in Sim::post
+// during the merge replay, in the same canonical order as the sequential
+// engine, so asynchronous runs use this executor too.
 #pragma once
 
 #include <atomic>
@@ -82,10 +84,6 @@ class WindowExecutor {
   };
 
   std::uint64_t run_window_parallel();
-  /// Exact sequential replay of a harvested batch (direct side effects),
-  /// used for unowned/budget-tight windows. Stops at `budget` events,
-  /// restoring the unexecuted tail into the queue and setting *stopped.
-  std::uint64_t run_window_sequential(std::uint64_t budget, bool* stopped);
   void execute_party(int p);
   std::uint64_t merge();
   void worker_loop();

@@ -128,7 +128,8 @@ class Sim {
   /// modes). Traces stay bit-identical at any thread count; `threads <= 1`
   /// restores the plain sequential path. `min_batch` is the smallest
   /// due-delivery count worth sharding (tests lower it to force every window
-  /// parallel).
+  /// parallel). Ticks below it, ticks holding an unowned closure and ticks
+  /// near the event budget run on the sequential engine, EventQueue::step.
   void set_threads(int threads, std::size_t min_batch = 0);
   int threads() const;
 
@@ -170,13 +171,6 @@ class Sim {
   }
 
  private:
-  friend class WindowExecutor;
-  /// Executor-only: hand a delivery straight to its destination party
-  /// (bypasses the queue — the executor already owns the ordering).
-  void deliver_now(const Msg& m) {
-    parties_[static_cast<std::size_t>(m.to)]->deliver(m);
-  }
-
   int n_;
   EventQueue queue_;
   RouteTable routes_;

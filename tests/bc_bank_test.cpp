@@ -16,7 +16,6 @@
 
 #include "bench/legacy_bcgrid.hpp"
 #include "bench/legacy_vssplanes.hpp"
-#include "src/bcast/bc.hpp"
 #include "src/bcast/bc_bank.hpp"
 #include "src/sim/adversary_zoo.hpp"
 #include "tests/harness.hpp"
@@ -529,21 +528,21 @@ TEST(BcBank, AsyncHonestSendersMatchPerPairGuarantees) {
   }
 }
 
-// ---- the K = 1 wrapper ----------------------------------------------------
+// ---- a lone ΠBC: one group, K = 1 ----------------------------------------
 
 TEST(BcBank, K1WrapperMatchesPerPairBcExactly) {
   const int n = 4, ts = 1;
   for (bool late : {false, true}) {
     auto wb = make_world(n, ts, 0, NetMode::kSynchronous);
     Records brec(n, 1);
-    std::vector<std::unique_ptr<Bc>> binst;
+    std::vector<std::unique_ptr<BcBank>> binst;
     for (int i = 0; i < n; ++i) {
       auto* world = &wb;
       auto* recs = &brec;
       int p = i;
-      binst.push_back(std::make_unique<Bc>(
-          wb.party(i), "bc", 2, wb.ctx, 0,
-          [recs, world, p](const std::optional<Bytes>& v, bool fb) {
+      binst.push_back(std::make_unique<BcBank>(
+          wb.party(i), "bc", std::vector<int>{2}, wb.ctx, 0,
+          [recs, world, p](int /*slot*/, const std::optional<Bytes>& v, bool fb) {
             SlotRecord& sr = recs->at(p, 0);
             if (fb) {
               sr.fallback = v;
@@ -555,9 +554,9 @@ TEST(BcBank, K1WrapperMatchesPerPairBcExactly) {
           }));
     }
     const Tick when = late ? wb.ctx.T.t_bc + 3 * wb.ctx.delta : 0;
-    wb.party(2).at(when, [&binst] { binst[2]->broadcast({0x42, 0x43}); });
+    wb.party(2).at(when, [&binst] { binst[2]->broadcast(0, {0x42, 0x43}); });
     wb.sim->run();
-    for (int i = 0; i < n; ++i) brec.at(i, 0).final_out = binst[static_cast<std::size_t>(i)]->output();
+    for (int i = 0; i < n; ++i) brec.at(i, 0).final_out = binst[static_cast<std::size_t>(i)]->output(0);
 
     auto wg = make_world(n, ts, 0, NetMode::kSynchronous);
     Records grec(n, 1);

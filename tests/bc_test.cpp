@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "src/bcast/bc.hpp"
+#include "src/bcast/bc_bank.hpp"
 #include "tests/harness.hpp"
 
 namespace bobw {
@@ -9,7 +9,7 @@ namespace {
 using test::make_world;
 
 struct BcRun {
-  std::vector<std::unique_ptr<Bc>> inst;
+  std::vector<std::unique_ptr<BcBank>> inst;
   std::vector<std::optional<std::optional<Bytes>>> regular;  // outer: decided?
   std::vector<std::optional<Bytes>> fallback;
   std::vector<Tick> regular_time;
@@ -24,9 +24,9 @@ struct BcRun {
       if (!w.runs_code(i)) continue;
       auto* world = &w;
       int idx = i;
-      inst[static_cast<std::size_t>(i)] = std::make_unique<Bc>(
-          w.party(i), "bc", sender, w.ctx, start,
-          [this, idx, world](const std::optional<Bytes>& v, bool fb) {
+      inst[static_cast<std::size_t>(i)] = std::make_unique<BcBank>(
+          w.party(i), "bc", std::vector<int>{sender}, w.ctx, start,
+          [this, idx, world](int /*slot*/, const std::optional<Bytes>& v, bool fb) {
             if (fb) {
               fallback[static_cast<std::size_t>(idx)] = v;
             } else {
@@ -45,7 +45,7 @@ TEST(Bc, SyncHonestSenderValidityAtTbc) {
   auto w = make_world(n, ts, 0, NetMode::kSynchronous, test::crash({3}));
   BcRun run(w, 0, 0);
   Bytes m{0xCA, 0xFE};
-  w.party(0).at(0, [&] { run.inst[0]->broadcast(m); });
+  w.party(0).at(0, [&] { run.inst[0]->broadcast(0, m); });
   w.sim->run();
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(run.regular[static_cast<std::size_t>(i)]) << i;
@@ -74,14 +74,14 @@ TEST(Bc, SyncLateSenderFallbackConsistency) {
   BcRun run(w, 0, 0);
   Bytes m{0x55};
   // Corrupt (but code-running) sender starts way past T_BC.
-  w.party(0).at(w.ctx.T.t_bc + 5 * w.ctx.delta, [&] { run.inst[0]->broadcast(m); });
+  w.party(0).at(w.ctx.T.t_bc + 5 * w.ctx.delta, [&] { run.inst[0]->broadcast(0, m); });
   w.sim->run();
   for (int i = 1; i < n; ++i) {
     ASSERT_TRUE(run.regular[static_cast<std::size_t>(i)]);
     EXPECT_FALSE(*run.regular[static_cast<std::size_t>(i)]);  // regular ⊥
     ASSERT_TRUE(run.fallback[static_cast<std::size_t>(i)]) << i;
     EXPECT_EQ(*run.fallback[static_cast<std::size_t>(i)], m);
-    EXPECT_EQ(*run.inst[static_cast<std::size_t>(i)]->output(), m);
+    EXPECT_EQ(*run.inst[static_cast<std::size_t>(i)]->output(0), m);
   }
 }
 
@@ -93,7 +93,7 @@ TEST(Bc, AsyncWeakValidityNeverWrongValue) {
     auto w = make_world(n, ts, 0, NetMode::kAsynchronous, nullptr, seed);
     BcRun run(w, 0, 0);
     Bytes m{0x31, 0x32};
-    w.party(0).at(0, [&] { run.inst[0]->broadcast(m); });
+    w.party(0).at(0, [&] { run.inst[0]->broadcast(0, m); });
     w.sim->run();
     for (int i = 0; i < n; ++i) {
       ASSERT_TRUE(run.regular[static_cast<std::size_t>(i)]);
@@ -101,8 +101,8 @@ TEST(Bc, AsyncWeakValidityNeverWrongValue) {
         EXPECT_EQ(**run.regular[static_cast<std::size_t>(i)], m) << "seed " << seed;
       }
       // Fallback validity — final output is always m.
-      ASSERT_TRUE(run.inst[static_cast<std::size_t>(i)]->output());
-      EXPECT_EQ(*run.inst[static_cast<std::size_t>(i)]->output(), m);
+      ASSERT_TRUE(run.inst[static_cast<std::size_t>(i)]->output(0));
+      EXPECT_EQ(*run.inst[static_cast<std::size_t>(i)]->output(0), m);
     }
   }
 }
@@ -134,7 +134,7 @@ TEST(Bc, SyncConsistencyCorruptEquivocatingSender) {
     const int n = 4, ts = 1;
     auto w = make_world(n, ts, 0, NetMode::kSynchronous, adv, seed);
     BcRun run(w, 0, 0);
-    w.party(0).at(0, [&] { run.inst[0]->broadcast({0x00, 0x99}); });
+    w.party(0).at(0, [&] { run.inst[0]->broadcast(0, {0x00, 0x99}); });
     w.sim->run();
     std::optional<std::optional<Bytes>> agreed;
     for (int i = 1; i < n; ++i) {
@@ -170,12 +170,12 @@ TEST(Bc, AsyncFallbackConsistencyCorruptSender) {
     const int n = 4, ts = 1;
     auto w = make_world(n, ts, 0, NetMode::kAsynchronous, adv, seed);
     BcRun run(w, 0, 0);
-    w.party(0).at(0, [&] { run.inst[0]->broadcast({0x07, 0x08}); });
+    w.party(0).at(0, [&] { run.inst[0]->broadcast(0, {0x07, 0x08}); });
     w.sim->run();
     std::optional<Bytes> final_val;
     int with_output = 0;
     for (int i = 1; i < n; ++i) {
-      const auto& out = run.inst[static_cast<std::size_t>(i)]->output();
+      const auto& out = run.inst[static_cast<std::size_t>(i)]->output(0);
       if (!out) continue;
       ++with_output;
       if (final_val) { EXPECT_EQ(*final_val, *out) << "seed " << seed; }
@@ -223,7 +223,7 @@ TEST(Bc, SyncConsistencyWhenNonKingForgesKingVectors) {
     const int n = 4, ts = 1;
     auto w = make_world(n, ts, 0, NetMode::kSynchronous, adv, seed);
     BcRun run(w, 3, 0);
-    w.party(3).at(w.ctx.delta, [&] { run.inst[3]->broadcast(m); });
+    w.party(3).at(w.ctx.delta, [&] { run.inst[3]->broadcast(0, m); });
     w.sim->run();
     std::optional<std::optional<Bytes>> agreed;
     for (int i = 0; i < 3; ++i) {
@@ -242,7 +242,7 @@ TEST(Bc, StartTimeOffsetShiftsDeadline) {
   auto w = make_world(n, ts, 0, NetMode::kSynchronous);
   const Tick start = 7000;
   BcRun run(w, 2, start);
-  w.party(2).at(start, [&] { run.inst[2]->broadcast({0x11}); });
+  w.party(2).at(start, [&] { run.inst[2]->broadcast(0, {0x11}); });
   w.sim->run();
   for (int i = 0; i < n; ++i) {
     ASSERT_TRUE(run.regular[static_cast<std::size_t>(i)]);

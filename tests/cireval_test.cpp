@@ -282,35 +282,55 @@ TEST(Baseline, SyncShareWorksInSyncFailsInAsync) {
   }
 }
 
-TEST(CirEval, ResilienceMatrixN8) {
-  // The §1 example, n = 8: this protocol with ts = 2, ta = 1 is correct with
-  // 2 faults in sync and 1 in async; an asynchronous protocol run as BoBW
-  // (ts = ta) is correct with 1 fault in both networks but cannot be set to
-  // 2, since ts = ta = 2 breaks 3ts + ta < n. The sync-only baseline is the
-  // Baseline test above.
+// The §1 example, n = 8: this protocol with ts = 2, ta = 1 is correct with
+// 2 faults in sync and 1 in async; an asynchronous protocol run as BoBW
+// (ts = ta) is correct with 1 fault in both networks but cannot be set to 2,
+// since ts = ta = 2 breaks 3ts + ta < n. The sync-only baseline is the
+// Baseline test above. Each row is its own test case, so the four n = 8
+// runs spread over ctest jobs.
+struct ResilienceRow {
+  const char* name;
+  int ts, ta;
+  NetMode mode;
+  std::set<int> corrupt;
+  std::uint64_t seed;
+};
+
+// Names each row's ctest case (the default printout is the raw bytes).
+void PrintTo(const ResilienceRow& r, std::ostream* os) { *os << r.name; }
+
+class CirEvalResilienceN8 : public ::testing::TestWithParam<ResilienceRow> {};
+
+TEST_P(CirEvalResilienceN8, HonestPartiesAgreeOnF) {
+  const ResilienceRow& row = GetParam();
   const int n = 8;
   auto cir = circuits::pairwise_sums_product(n);
   std::vector<Fp> inputs;
   for (int i = 0; i < n; ++i) inputs.push_back(Fp(static_cast<std::uint64_t>(i + 1)));
-  auto expect_correct = [&](int ts, int ta, NetMode mode, std::set<int> corrupt, std::uint64_t seed) {
-    SCOPED_TRACE(testing::Message() << "ts " << ts << " ta " << ta << " seed " << seed);
-    MpcConfig cfg;
-    cfg.n = n;
-    cfg.ts = ts;
-    cfg.ta = ta;
-    cfg.mode = mode;
-    cfg.corrupt = std::move(corrupt);
-    cfg.seed = seed;
-    auto res = run_mpc(cir, inputs, cfg);
-    EXPECT_TRUE(res.all_honest_agree(cfg.corrupt));
-    EXPECT_EQ(res.outputs[0], cir.eval_plain(cs_inputs(res, inputs)));
-  };
-  expect_correct(2, 1, NetMode::kSynchronous, {2, 5}, 1);
-  expect_correct(2, 1, NetMode::kAsynchronous, {3}, 2);
-  expect_correct(1, 1, NetMode::kSynchronous, {6}, 3);
-  expect_correct(1, 1, NetMode::kAsynchronous, {6}, 4);
+  MpcConfig cfg;
+  cfg.n = n;
+  cfg.ts = row.ts;
+  cfg.ta = row.ta;
+  cfg.mode = row.mode;
+  cfg.corrupt = row.corrupt;
+  cfg.seed = row.seed;
+  auto res = run_mpc(cir, inputs, cfg);
+  EXPECT_TRUE(res.all_honest_agree(cfg.corrupt));
+  EXPECT_EQ(res.outputs[0], cir.eval_plain(cs_inputs(res, inputs)));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rows, CirEvalResilienceN8,
+    ::testing::Values(ResilienceRow{"ts2_ta1_sync_crash2", 2, 1, NetMode::kSynchronous, {2, 5}, 1},
+                      ResilienceRow{"ts2_ta1_async_crash1", 2, 1, NetMode::kAsynchronous, {3}, 2},
+                      ResilienceRow{"ts1_ta1_sync_crash1", 1, 1, NetMode::kSynchronous, {6}, 3},
+                      ResilienceRow{"ts1_ta1_async_crash1", 1, 1, NetMode::kAsynchronous, {6}, 4}));
+
+TEST(CirEval, ResilienceMatrixN8) {
+  // The matrix's missing cell: ts = ta = 2 is rejected at n = 8. The
+  // runnable rows are CirEvalResilienceN8 above.
   MpcConfig two_async;
-  two_async.n = n;
+  two_async.n = 8;
   two_async.ts = 2;
   two_async.ta = 2;
   EXPECT_THROW(two_async.validate(), std::invalid_argument);

@@ -27,6 +27,7 @@
 
 #include <memory>
 
+#include "src/bcast/bc_bank.hpp"
 #include "src/core/runner.hpp"
 #include "src/core/scenario.hpp"
 #include "src/sim/instance.hpp"
@@ -387,7 +388,9 @@ TEST(ParallelDeterminism, SyncJitterMpcBitIdenticalAcrossThreadCounts) {
     const MpcResult res = run(threads);
     for (std::size_t i = 0; i < base.outputs.size(); ++i) {
       ASSERT_EQ(res.outputs[i].has_value(), base.outputs[i].has_value()) << threads;
-      if (base.outputs[i]) EXPECT_EQ(res.outputs[i]->value(), base.outputs[i]->value()) << threads;
+      if (base.outputs[i]) {
+        EXPECT_EQ(res.outputs[i]->value(), base.outputs[i]->value()) << threads;
+      }
     }
     EXPECT_EQ(res.finish_time, base.finish_time) << threads;
     EXPECT_EQ(res.input_cs, base.input_cs) << threads;
@@ -396,6 +399,53 @@ TEST(ParallelDeterminism, SyncJitterMpcBitIdenticalAcrossThreadCounts) {
     EXPECT_EQ(res.events, base.events) << threads;
     EXPECT_EQ(res.end_time, base.end_time) << threads;
   }
+}
+
+TEST(ParallelDeterminism, UnownedClosureOnDeliveryTickMatchesSequential) {
+  // An ad-hoc queue closure (EventQueue::kNoOwner) cannot be sharded by
+  // party, so the executor runs its whole tick on the sequential engine. It
+  // fires here on the n² echo tick of a two-slot ΠBC and starts slot 1's
+  // sender there, so the rest of the run depends on it; every observable
+  // must match threads = 1.
+  struct Out {
+    Tick end = 0;
+    std::uint64_t events = 0, msgs = 0, bits = 0, seen_msgs = 0;
+    std::vector<std::optional<Bytes>> outputs;
+  };
+  const int n = 7;
+  auto run = [](int threads) {
+    auto w = make_world(n, 2, 0, NetMode::kSynchronous);
+    w.sim->set_threads(threads, /*min_batch=*/1);
+    std::vector<std::unique_ptr<BcBank>> inst;
+    for (int i = 0; i < n; ++i)
+      inst.push_back(std::make_unique<BcBank>(w.party(i), "bc", std::vector<int>{0, 1}, w.ctx,
+                                              0, nullptr));
+    Out o;
+    w.party(0).at(0, [&inst] { inst[0]->broadcast(0, Bytes{0x11}); });
+    w.sim->queue().at(2 * w.ctx.delta, [&] {
+      o.seen_msgs = w.sim->metrics().total_msgs();
+      inst[1]->broadcast(1, Bytes{0x22});
+    });
+    o.events = w.sim->run();
+    o.end = w.sim->now();
+    o.msgs = w.sim->metrics().total_msgs();
+    o.bits = w.sim->metrics().honest_bits();
+    for (const auto& b : inst)
+      for (int s = 0; s < 2; ++s) o.outputs.push_back(b->output(s));
+    return o;
+  };
+  const Out base = run(1);
+  for (std::size_t i = 0; i < base.outputs.size(); ++i) {
+    ASSERT_TRUE(base.outputs[i]) << i;
+    EXPECT_EQ(*base.outputs[i], (Bytes{static_cast<std::uint8_t>(i % 2 ? 0x22 : 0x11)})) << i;
+  }
+  const Out par = run(8);
+  EXPECT_EQ(par.seen_msgs, base.seen_msgs);
+  EXPECT_EQ(par.events, base.events);
+  EXPECT_EQ(par.end, base.end);
+  EXPECT_EQ(par.msgs, base.msgs);
+  EXPECT_EQ(par.bits, base.bits);
+  EXPECT_EQ(par.outputs, base.outputs);
 }
 
 // ---- payload COW across executor threads ----------------------------------
@@ -437,7 +487,8 @@ TEST(ParallelDeterminism, CrossThreadCowDetachKeepsSiblingsPristine) {
 
 TEST(Truncation, BudgetStopIsFlaggedNotSilent) {
   // A run stopped by max_events must be distinguishable from quiescence —
-  // at every thread count, and with the same event count.
+  // at every thread count, and with the same event count and traffic (the
+  // executor's budget check runs the windows near the stop sequentially).
   for (const int threads : {1, 2, 8}) {
     MpcConfig cfg;
     cfg.n = 4;
@@ -450,6 +501,9 @@ TEST(Truncation, BudgetStopIsFlaggedNotSilent) {
     auto res = run_mpc(circuits::sum_all(4), {Fp(2), Fp(5), Fp(8), Fp(11)}, cfg);
     EXPECT_TRUE(res.truncated) << threads;
     EXPECT_EQ(res.events, 5000u) << threads;  // stops on exactly the budget
+    EXPECT_EQ(res.honest_msgs, 2816u) << threads;
+    EXPECT_EQ(res.honest_bits, 2024960u) << threads;
+    EXPECT_EQ(res.end_time, Tick{5000}) << threads;
     EXPECT_FALSE(res.outputs[0].has_value()) << threads;
   }
 }

@@ -113,7 +113,9 @@ TEST(SolveLinearDiff, DeferredPivotsMatchSeedOnRandomSystems) {
     auto got = solve_linear(A, b);
     auto expect = ref::solve_linear(A, b);
     ASSERT_EQ(got.has_value(), expect.has_value()) << "trial=" << trial;
-    if (got) EXPECT_EQ(*got, *expect) << "trial=" << trial;
+    if (got) {
+      EXPECT_EQ(*got, *expect) << "trial=" << trial;
+    }
   }
 }
 

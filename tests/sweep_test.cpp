@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/ba/aba.hpp"
-#include "src/bcast/bc.hpp"
+#include "src/bcast/bc_bank.hpp"
 #include "src/mpc/sharing.hpp"
 #include "src/rs/oec.hpp"
 #include "src/vss/vss.hpp"
@@ -62,23 +62,23 @@ TEST_P(BcSweep, HonestSenderDeliversEverywhere) {
   const auto& c = GetParam();
   const int ts = (c.n - 1) / 3;
   auto w = make_world(c.n, ts, 0, c.mode);
-  std::vector<std::unique_ptr<Bc>> inst(static_cast<std::size_t>(c.n));
+  std::vector<std::unique_ptr<BcBank>> inst(static_cast<std::size_t>(c.n));
   for (int i = 0; i < c.n; ++i)
     inst[static_cast<std::size_t>(i)] =
-        std::make_unique<Bc>(w.party(i), "bc", 0, w.ctx, 0, nullptr);
+        std::make_unique<BcBank>(w.party(i), "bc", std::vector<int>{0}, w.ctx, 0, nullptr);
   Bytes m{0xDE, 0xAD};
-  w.party(0).at(0, [&] { inst[0]->broadcast(m); });
+  w.party(0).at(0, [&] { inst[0]->broadcast(0, m); });
   w.sim->run();
   for (int i = 0; i < c.n; ++i) {
     // Regular output at T_BC in sync; in async the final output (regular or
     // fallback) must still be m.
-    ASSERT_TRUE(inst[static_cast<std::size_t>(i)]->regular_decided());
+    ASSERT_TRUE(inst[static_cast<std::size_t>(i)]->regular_decided(0));
     if (c.mode == NetMode::kSynchronous) {
-      ASSERT_TRUE(inst[static_cast<std::size_t>(i)]->regular_output());
-      EXPECT_EQ(*inst[static_cast<std::size_t>(i)]->regular_output(), m);
+      ASSERT_TRUE(inst[static_cast<std::size_t>(i)]->regular_output(0));
+      EXPECT_EQ(*inst[static_cast<std::size_t>(i)]->regular_output(0), m);
     }
-    ASSERT_TRUE(inst[static_cast<std::size_t>(i)]->output());
-    EXPECT_EQ(*inst[static_cast<std::size_t>(i)]->output(), m);
+    ASSERT_TRUE(inst[static_cast<std::size_t>(i)]->output(0));
+    EXPECT_EQ(*inst[static_cast<std::size_t>(i)]->output(0), m);
   }
 }
 
@@ -102,19 +102,19 @@ TEST(BcSweep64, CrashAdversaryHonestSenderStillDelivers) {
   const int n = 64, ts = (n - 1) / 3;
   auto adv = test::crash({1, 5, 9, 13, 17, 21, 25, 29, 33, 37});
   auto w = make_world(n, ts, 0, NetMode::kSynchronous, adv);
-  std::vector<std::unique_ptr<Bc>> inst(static_cast<std::size_t>(n));
+  std::vector<std::unique_ptr<BcBank>> inst(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     if (!w.runs_code(i)) continue;
     inst[static_cast<std::size_t>(i)] =
-        std::make_unique<Bc>(w.party(i), "bc", 0, w.ctx, 0, nullptr);
+        std::make_unique<BcBank>(w.party(i), "bc", std::vector<int>{0}, w.ctx, 0, nullptr);
   }
   Bytes m{0xDE, 0xAD};
-  w.party(0).at(0, [&] { inst[0]->broadcast(m); });
+  w.party(0).at(0, [&] { inst[0]->broadcast(0, m); });
   w.sim->run();
   for (int i = 0; i < n; ++i) {
     if (!inst[static_cast<std::size_t>(i)]) continue;
-    ASSERT_TRUE(inst[static_cast<std::size_t>(i)]->output()) << i;
-    EXPECT_EQ(*inst[static_cast<std::size_t>(i)]->output(), m) << i;
+    ASSERT_TRUE(inst[static_cast<std::size_t>(i)]->output(0)) << i;
+    EXPECT_EQ(*inst[static_cast<std::size_t>(i)]->output(0), m) << i;
   }
 }
 
@@ -134,16 +134,18 @@ BigBcResult run_big_bc(int n, int threads) {
   const int ts = (n - 1) / 3;
   auto w = make_world(n, ts, 0, NetMode::kSynchronous);
   w.sim->set_threads(threads);
-  std::vector<std::unique_ptr<Bc>> inst(static_cast<std::size_t>(n));
+  std::vector<std::unique_ptr<BcBank>> inst(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)
     inst[static_cast<std::size_t>(i)] =
-        std::make_unique<Bc>(w.party(i), "bc", 0, w.ctx, 0, nullptr);
+        std::make_unique<BcBank>(w.party(i), "bc", std::vector<int>{0}, w.ctx, 0, nullptr);
   Bytes m{0xDE, 0xAD};
-  w.party(0).at(0, [&] { inst[0]->broadcast(m); });
+  w.party(0).at(0, [&] { inst[0]->broadcast(0, m); });
   w.sim->run();
   for (int i = 0; i < n; ++i) {
-    EXPECT_TRUE(inst[static_cast<std::size_t>(i)]->regular_output()) << n << " " << i;
-    if (auto v = inst[static_cast<std::size_t>(i)]->regular_output()) EXPECT_EQ(*v, m);
+    EXPECT_TRUE(inst[static_cast<std::size_t>(i)]->regular_output(0)) << n << " " << i;
+    if (auto v = inst[static_cast<std::size_t>(i)]->regular_output(0)) {
+      EXPECT_EQ(*v, m);
+    }
   }
   return {w.sim->now(), w.sim->metrics().total_msgs()};
 }

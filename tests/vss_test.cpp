@@ -271,10 +271,18 @@ TEST(Vss, OneSchedulePlanePerSharing) {
   EXPECT_EQ(sba_schedules, 7);
   EXPECT_EQ(stray, 0);
   for (int i = 0; i < n; ++i) ASSERT_TRUE(run.inst[static_cast<std::size_t>(i)]->has_output());
+  // Cross-party decode-cache accounting (src/bcast/bank_shared.*): every
+  // lookup is counted once, so these pin where the banks count a hit or miss.
+  EXPECT_EQ(w.sim->decode_cache_stats().hits.load(), 1235u);
+  EXPECT_EQ(w.sim->decode_cache_stats().misses.load(), 151u);
 }
 
 TEST(Vss, AsyncHonestDealerEventualCorrectness) {
   const int n = 5, ts = 1, ta = 1, L = 1;
+  // Decode-cache hits/misses per seed: divergent async delivery splits the
+  // cohorts, so the miss share is far above the synchronous one.
+  const std::uint64_t cache_hits[] = {1214, 1295, 1278};
+  const std::uint64_t cache_misses[] = {941, 1030, 1024};
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     auto w = make_world(n, ts, ta, NetMode::kAsynchronous, test::crash({3}), seed);
     VssRun run(w, 0, L, 0);
@@ -287,6 +295,9 @@ TEST(Vss, AsyncHonestDealerEventualCorrectness) {
       ASSERT_TRUE(run.inst[static_cast<std::size_t>(i)]->has_output()) << "seed " << seed;
       EXPECT_EQ(run.inst[static_cast<std::size_t>(i)]->shares()[0], qs[0].eval(alpha(i)));
     }
+    EXPECT_EQ(w.sim->decode_cache_stats().hits.load(), cache_hits[seed - 1]) << "seed " << seed;
+    EXPECT_EQ(w.sim->decode_cache_stats().misses.load(), cache_misses[seed - 1])
+        << "seed " << seed;
   }
 }
 
