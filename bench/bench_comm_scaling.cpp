@@ -427,15 +427,28 @@ int main(int argc, char** argv) {
     if (hw >= 2) {
       const int mt_threads = static_cast<int>(std::min(8u, hw));
       const int levels = 90;  // ~370k messages at n = 64
-      FloodResult seq = flood_heavy(64, levels, 256, /*threads=*/1);
-      FloodResult par = flood_heavy(64, levels, 256, mt_threads);
-      const double mt_speedup = par.events_per_sec / seq.events_per_sec;
+      // One seq/par pair swings widely on a shared host, so the gate reads
+      // the median of kPairs alternating pairs (each pair's own quotient).
+      constexpr int kPairs = 5;
+      std::vector<double> seq_eps, par_eps, ratio;
+      for (int k = 0; k < kPairs; ++k) {
+        seq_eps.push_back(flood_heavy(64, levels, 256, /*threads=*/1).events_per_sec);
+        par_eps.push_back(flood_heavy(64, levels, 256, mt_threads).events_per_sec);
+        ratio.push_back(par_eps.back() / seq_eps.back());
+      }
+      auto median = [](std::vector<double> v) {
+        std::sort(v.begin(), v.end());
+        return v[v.size() / 2];
+      };
+      const double mt_speedup = median(ratio);
       std::printf(
           "window executor n=64: threads=1 %9.3g ev/s   threads=%d %9.3g ev/s   speedup %.2fx"
-          "   (%u hw threads)\n",
-          seq.events_per_sec, mt_threads, par.events_per_sec, mt_speedup, hw);
+          "   (%u hw threads; medians of %d pairs, pair speedups",
+          median(seq_eps), mt_threads, median(par_eps), mt_speedup, hw, kPairs);
+      for (double r : ratio) std::printf(" %.2f", r);
+      std::printf(")\n");
       metrics.push_back({"msgplane_mt_threads", static_cast<double>(mt_threads)});
-      metrics.push_back({"msgplane_mt_events_per_sec_n64", par.events_per_sec});
+      metrics.push_back({"msgplane_mt_events_per_sec_n64", median(par_eps)});
       metrics.push_back({"msgplane_mt_n64_speedup", mt_speedup});
     } else {
       std::printf("window executor n=64: skipped (1 hw thread — no mt speedup to measure)\n");

@@ -17,6 +17,7 @@
 #include "src/rs/oec_bank.hpp"
 #include "src/rs/reed_solomon.hpp"
 #include "src/rs/reference.hpp"
+#include "src/vss/wire.hpp"
 
 namespace bobw {
 namespace {
@@ -304,6 +305,45 @@ int emit_comparison(const std::string& path) {
       std::printf("%-24s %12.0f ns/lane\n",
                   ("bank_open_perlane_L" + std::to_string(L)).c_str(), bank / L);
     }
+  }
+
+  {  // A ΠTripSh dealer's rows at n = 7, ts = 2 (about 1000 per recipient
+     // on mult-heavy): the point round evaluates all of them at every α_j.
+     // Kernel: one eval_rows per point; seed: a Poly::eval loop.
+    const int n7 = 7, ts = 2;
+    const std::size_t L = 1024, m = ts + 1;
+    Rng rng(18);
+    RowBlock block(L, m);
+    std::vector<Poly> polys;
+    for (std::size_t l = 0; l < L; ++l) {
+      for (auto& c : block.row(l)) c = Fp::random(rng);
+      polys.emplace_back(std::vector<Fp>(block.row(l).begin(), block.row(l).end()));
+    }
+    std::vector<Fp> vals(L);
+    double seed = bench::time_ns_per_iter(
+        [&] {
+          for (int j = 0; j < n7; ++j)
+            for (std::size_t l = 0; l < L; ++l) vals[l] = polys[l].eval(alpha(j));
+          benchmark::DoNotOptimize(vals.data());
+        },
+        200);
+    double kernel = bench::time_ns_per_iter(
+        [&] {
+          for (int j = 0; j < n7; ++j) eval_rows(block, alpha(j), vals.data());
+          benchmark::DoNotOptimize(vals.data());
+        },
+        200);
+    push("eval_rows_L1024_n7", seed, kernel);
+
+    // One recipient's dealer payload through the wire: encode + decode.
+    double codec = bench::time_ns_per_iter(
+        [&] {
+          auto dec = wire::decode_rows(wire::encode_rows(block), static_cast<int>(L), ts);
+          benchmark::DoNotOptimize(dec);
+        },
+        200);
+    out.push_back({"rows_codec_L1024_ns", codec});
+    std::printf("%-24s %12.0f ns\n", "rows_codec_L1024", codec);
   }
 
   bench::emit_json_section(path, "micro_kernels", out);

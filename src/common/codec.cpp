@@ -2,22 +2,9 @@
 
 namespace bobw {
 
-void Writer::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
 void Writer::bytes(const Bytes& b) {
   u32(static_cast<std::uint32_t>(b.size()));
-  buf_.insert(buf_.end(), b.begin(), b.end());
-}
-
-void Writer::u64s(const std::vector<std::uint64_t>& v) {
-  u32(static_cast<std::uint32_t>(v.size()));
-  for (auto w : v) u64(w);
+  put(b.data(), b.size());
 }
 
 void Reader::need(std::size_t k) {
@@ -27,20 +14,6 @@ void Reader::need(std::size_t k) {
 std::uint8_t Reader::u8() {
   need(1);
   return buf_[pos_++];
-}
-
-std::uint32_t Reader::u32() {
-  need(4);
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(buf_[pos_++]) << (8 * i);
-  return v;
-}
-
-std::uint64_t Reader::u64() {
-  need(8);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(buf_[pos_++]) << (8 * i);
-  return v;
 }
 
 Bytes Reader::bytes() {
@@ -53,9 +26,9 @@ Bytes Reader::bytes() {
 
 std::vector<std::uint64_t> Reader::u64s() {
   std::uint32_t len = u32();
-  if (len > (buf_.size() - pos_) / 8) throw CodecError("oversized u64 vector");
+  if (len > remaining() / 8) throw CodecError("oversized u64 vector");
   std::vector<std::uint64_t> out(len);
-  for (auto& w : out) w = u64();
+  words(out.data(), len);
   return out;
 }
 

@@ -6,23 +6,23 @@
 
 namespace bobw {
 
-SymBivariate SymBivariate::random_embedding(int d, const Poly& q, Rng& rng) {
-  if (q.degree() > d) throw std::invalid_argument("embedding: deg q > d");
-  SymBivariate Q;
+SymBivariate SymBivariate::random_embedding(int d, std::span<const Fp> q, Rng& rng) {
   const std::size_t m = static_cast<std::size_t>(d) + 1;
-  Q.r_.assign(m, std::vector<Fp>(m, Fp(0)));
-  // Constraint: Q(0,y) = sum_j r_[0][j] y^j = q(y); symmetry fixes r_[j][0].
-  for (std::size_t j = 0; j < m; ++j) {
-    Fp qc = q.coeff(static_cast<int>(j));
-    Q.r_[0][j] = qc;
-    Q.r_[j][0] = qc;
+  if (q.size() > m) throw std::invalid_argument("embedding: deg q > d");
+  SymBivariate Q;
+  Q.m_ = m;
+  Q.r_.assign(m * m, Fp(0));
+  // Constraint: Q(0,y) = sum_j r[0][j] y^j = q(y); symmetry fixes r[j][0].
+  for (std::size_t j = 0; j < q.size(); ++j) {
+    Q.r_[j] = q[j];
+    Q.r_[j * m] = q[j];
   }
   // Remaining entries: uniformly random symmetric.
   for (std::size_t i = 1; i < m; ++i)
     for (std::size_t j = i; j < m; ++j) {
       Fp v = Fp::random(rng);
-      Q.r_[i][j] = v;
-      Q.r_[j][i] = v;
+      Q.r_[i * m + j] = v;
+      Q.r_[j * m + i] = v;
     }
   return Q;
 }
@@ -30,23 +30,23 @@ SymBivariate SymBivariate::random_embedding(int d, const Poly& q, Rng& rng) {
 Fp SymBivariate::eval(Fp x, Fp y) const {
   // Horner in x of polynomials in y.
   Fp acc(0);
-  for (auto it = r_.rbegin(); it != r_.rend(); ++it) {
+  for (std::size_t i = m_; i-- > 0;) {
     Fp inner(0);
-    for (auto jt = it->rbegin(); jt != it->rend(); ++jt) inner = inner * y + *jt;
+    for (std::size_t j = m_; j-- > 0;) inner = inner * y + r_[i * m_ + j];
     acc = acc * x + inner;
   }
   return acc;
 }
 
+void SymBivariate::row_into(const Fp* at_powers, Fp* out) const {
+  // Q(x, at) = sum_i x^i * (sum_j r[i][j] at^j): coefficient i is matrix
+  // row i evaluated at `at`.
+  for (std::size_t i = 0; i < m_; ++i) out[i] = eval_at_powers(r_.data() + i * m_, at_powers, m_);
+}
+
 Poly SymBivariate::row(Fp at) const {
-  const std::size_t m = r_.size();
-  std::vector<Fp> c(m, Fp(0));
-  // Q(x, at) = sum_i x^i * (sum_j r_[i][j] at^j)
-  for (std::size_t i = 0; i < m; ++i) {
-    Fp inner(0);
-    for (std::size_t j = m; j-- > 0;) inner = inner * at + r_[i][j];
-    c[i] = inner;
-  }
+  std::vector<Fp> c(m_);
+  row_into(power_row(at, degree()).data(), c.data());
   return Poly(std::move(c));
 }
 
@@ -58,7 +58,8 @@ SymBivariate SymBivariate::from_rows(int d, const std::vector<Fp>& ys,
   // For each x-coefficient index i, the values rows[k].coeff(i) are the
   // evaluations at ys[k] of the degree-<=d polynomial c_i(y) = sum_j r_ij y^j.
   SymBivariate Q;
-  Q.r_.assign(m, std::vector<Fp>(m, Fp(0)));
+  Q.m_ = m;
+  Q.r_.assign(m * m, Fp(0));
   std::vector<Fp> xs(ys.begin(), ys.begin() + static_cast<long>(m));
   // All d+1 coefficient rows interpolate through the SAME y-grid (a fixed
   // public α subset), so one process-wide cached PointSet serves every row
@@ -70,7 +71,7 @@ SymBivariate SymBivariate::from_rows(int d, const std::vector<Fp>& ys,
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t k = 0; k < m; ++k) vals[k] = rows[k].coeff(static_cast<int>(i));
     Poly ci = ps->interpolate(vals);
-    for (std::size_t j = 0; j < m; ++j) Q.r_[i][j] = ci.coeff(static_cast<int>(j));
+    for (std::size_t j = 0; j < m; ++j) Q.r_[i * m + j] = ci.coeff(static_cast<int>(j));
   }
   return Q;
 }

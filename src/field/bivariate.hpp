@@ -5,6 +5,7 @@
 // Q(x, α_i) to the parties (paper §2, Lemma 2.2).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -17,16 +18,24 @@ class SymBivariate {
  public:
   SymBivariate() = default;
 
-  /// Random symmetric (d,d)-degree polynomial with Q(0,y) = q(y).
-  /// Requires deg q <= d.
-  static SymBivariate random_embedding(int d, const Poly& q, Rng& rng);
+  /// Random symmetric (d,d)-degree polynomial with Q(0,y) = q(y), where
+  /// `q` lists q's coefficients, low degree first. Requires |q| <= d+1.
+  static SymBivariate random_embedding(int d, std::span<const Fp> q, Rng& rng);
+  static SymBivariate random_embedding(int d, const Poly& q, Rng& rng) {
+    return random_embedding(d, std::span<const Fp>(q.coeffs()), rng);
+  }
 
-  int degree() const { return static_cast<int>(r_.size()) - 1; }
+  int degree() const { return static_cast<int>(m_) - 1; }
 
   Fp eval(Fp x, Fp y) const;
 
   /// Row polynomial f_i(x) = Q(x, at). By symmetry also equals Q(at, y).
   Poly row(Fp at) const;
+
+  /// The d+1 coefficients of row(at), low degree first, written to `out`,
+  /// given `at_powers[j] = at^j` for j = 0..d. One power row serves every
+  /// bivariate a dealer evaluates at the same point.
+  void row_into(const Fp* at_powers, Fp* out) const;
 
   /// Q(0, y) — the dealer's embedded univariate.
   Poly zero_row() const { return row(Fp(0)); }
@@ -38,8 +47,10 @@ class SymBivariate {
                                 const std::vector<Poly>& rows);
 
  private:
-  // r_[i][j], symmetric coefficient matrix, (d+1)x(d+1).
-  std::vector<std::vector<Fp>> r_;
+  // Symmetric (d+1)x(d+1) coefficient matrix, row-major: r_[i*m_ + j]
+  // multiplies x^i y^j.
+  std::size_t m_ = 0;
+  std::vector<Fp> r_;
 };
 
 }  // namespace bobw

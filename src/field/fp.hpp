@@ -56,6 +56,18 @@ class Fp {
   friend bool operator==(Fp a, Fp b) { return a.v_ == b.v_; }
   friend bool operator!=(Fp a, Fp b) { return a.v_ != b.v_; }
 
+  /// Canonical form of any 128-bit value, e.g. an unreduced sum of up to 64
+  /// products of canonical elements (dot() in src/field/kernels.hpp).
+  static Fp reduce(__uint128_t x) {
+    // 2^61 = 1 (mod p): fold the high bits onto the low bits twice, leaving
+    // at most p + 1 for one conditional subtraction.
+    const __uint128_t hi = x >> 61;  // < 2^67
+    std::uint64_t s = (static_cast<std::uint64_t>(x) & kP) + (static_cast<std::uint64_t>(hi) & kP) +
+                      static_cast<std::uint64_t>(hi >> 61);
+    s = (s & kP) + (s >> 61);
+    return from_raw(reduce_once(s));
+  }
+
   /// a^e by square-and-multiply.
   Fp pow(std::uint64_t e) const;
   /// Multiplicative inverse via Fermat; requires non-zero.

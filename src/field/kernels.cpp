@@ -1,5 +1,6 @@
 #include "src/field/kernels.hpp"
 
+#include <algorithm>
 #include <map>
 #include <stdexcept>
 
@@ -122,6 +123,19 @@ std::vector<Fp> power_row(Fp x, int width) {
     xp *= x;
   }
   return row;
+}
+
+Fp dot(const Fp* a, const Fp* b, std::size_t k) {
+  Fp acc(0);
+  for (std::size_t lo = 0; lo < k; lo += detail::kDotFold)
+    acc += Fp::reduce(detail::dot_unreduced(a + lo, b + lo, std::min(detail::kDotFold, k - lo)));
+  return acc;
+}
+
+void eval_rows(const RowBlock& rows, Fp at, Fp* out) {
+  const std::size_t m = rows.width();
+  const std::vector<Fp> pw = power_row(at, static_cast<int>(m) - 1);
+  for (std::size_t l = 0; l < rows.rows(); ++l) out[l] = eval_at_powers(rows.row(l).data(), pw.data(), m);
 }
 
 }  // namespace bobw

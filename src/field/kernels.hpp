@@ -14,8 +14,10 @@
 // differentially against the frozen seed reference in src/rs/reference.hpp.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -111,5 +113,56 @@ std::shared_ptr<const PointSet> pointset(const std::vector<Fp>& xs);
 /// every subsequent decode attempt assembles its matrix from the cache
 /// instead of re-deriving the Vandermonde fragments.
 std::vector<Fp> power_row(Fp x, int width);
+
+namespace detail {
+/// Products of canonical elements are < 2^122: 64 of them, plus one more
+/// canonical term, fit a 128-bit accumulator.
+inline constexpr std::size_t kDotFold = 64;
+
+/// Unreduced sum_k a[k] * b[k] for k <= kDotFold.
+inline __uint128_t dot_unreduced(const Fp* a, const Fp* b, std::size_t k) {
+  __uint128_t sum = 0;
+  for (std::size_t i = 0; i < k; ++i) sum += static_cast<__uint128_t>(a[i].value()) * b[i].value();
+  return sum;
+}
+}  // namespace detail
+
+/// sum_k a[k] * b[k], reduced once per 64 terms instead of once per
+/// product; exact for any k.
+Fp dot(const Fp* a, const Fp* b, std::size_t k);
+
+/// c(at) = sum_k c[k] at^k for a polynomial of m coefficients, given the
+/// power row pw[k] = at^k. pw[0] = 1, so c[0] joins the first fold without
+/// a product; polynomials of up to 65 coefficients take one fold.
+inline Fp eval_at_powers(const Fp* c, const Fp* pw, std::size_t m) {
+  if (m == 0) return Fp(0);
+  const std::size_t head = std::min(detail::kDotFold, m - 1);
+  const Fp v = Fp::reduce(c[0].value() + detail::dot_unreduced(c + 1, pw + 1, head));
+  return head + 1 == m ? v : v + dot(c + 1 + head, pw + 1 + head, m - 1 - head);
+}
+
+/// `rows` polynomials of `width` coefficients each (low degree first) in one
+/// allocation — a dealer's L rows for one recipient, from the bivariates
+/// down to the wire and back.
+class RowBlock {
+ public:
+  RowBlock() = default;
+  RowBlock(std::size_t rows, std::size_t width) : rows_(rows), width_(width), c_(rows * width) {}
+
+  std::size_t rows() const { return rows_; }
+  std::size_t width() const { return width_; }
+  std::span<Fp> row(std::size_t l) { return {c_.data() + l * width_, width_}; }
+  std::span<const Fp> row(std::size_t l) const { return {c_.data() + l * width_, width_}; }
+
+  bool operator==(const RowBlock&) const = default;
+
+ private:
+  std::size_t rows_ = 0, width_ = 0;
+  std::vector<Fp> c_;
+};
+
+/// out[l] = row l of `rows` evaluated at `at`, for every row: one power row
+/// of `at`, then one eval_at_powers() per row.
+void eval_rows(const RowBlock& rows, Fp at, Fp* out);
 
 }  // namespace bobw

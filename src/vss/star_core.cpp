@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/field/kernels.hpp"
 #include "src/graph/star.hpp"
 
 namespace bobw {
@@ -57,6 +58,14 @@ void StarCore::deal(const std::vector<Poly>& qs) {
   deal_bivariate(std::move(Qs));
 }
 
+void StarCore::deal(const RowBlock& qs) {
+  std::vector<SymBivariate> Qs;
+  Qs.reserve(qs.rows());
+  for (std::size_t l = 0; l < qs.rows(); ++l)
+    Qs.push_back(SymBivariate::random_embedding(ctx_.ts, qs.row(l), party_.rng()));
+  deal_bivariate(std::move(Qs));
+}
+
 void StarCore::deal_bivariate(std::vector<SymBivariate> Qs) {
   if (static_cast<int>(Qs.size()) != L_) return;
   deal_rows_custom(std::move(Qs), {});
@@ -76,15 +85,20 @@ void StarCore::deal_rows_custom(std::vector<SymBivariate> Qs,
 }
 
 void StarCore::send_rows() {
+  const std::size_t m = static_cast<std::size_t>(ctx_.ts) + 1;
   for (int i = 0; i < n(); ++i) {
-    std::vector<Poly> rows;
+    RowBlock rows;
     if (!custom_rows_.empty()) {
-      rows = custom_rows_[static_cast<std::size_t>(i)];
+      const auto& polys = custom_rows_[static_cast<std::size_t>(i)];
+      rows = RowBlock(polys.size(), m);
+      for (std::size_t l = 0; l < polys.size(); ++l)
+        for (std::size_t k = 0; k < m; ++k) rows.row(l)[k] = polys[l].coeff(static_cast<int>(k));
     } else {
-      rows.reserve(static_cast<std::size_t>(L_));
-      for (const auto& Q : Qs_) rows.push_back(Q.row(alpha(i)));
+      rows = RowBlock(Qs_.size(), m);
+      const auto at = power_row(alpha(i), ctx_.ts);
+      for (std::size_t l = 0; l < Qs_.size(); ++l) Qs_[l].row_into(at.data(), rows.row(l).data());
     }
-    send(i, kRows, wire::encode_rows(rows, ctx_.ts));
+    send(i, kRows, wire::encode_rows(rows));
   }
 }
 
@@ -125,11 +139,13 @@ void StarCore::maybe_broadcast_verdict(int j) {
   at(next_multiple(now(), ctx_.delta), [this, j] {
     wire::Verdict v;
     const auto& vals = *values_from(j);
-    for (int l = 0; l < L_; ++l) {
-      if (vals[static_cast<std::size_t>(l)] != rows_[static_cast<std::size_t>(l)].eval(alpha(j))) {
+    std::vector<Fp> mine(rows_.rows());
+    eval_rows(rows_, alpha(j), mine.data());
+    for (std::size_t l = 0; l < mine.size(); ++l) {
+      if (vals[l] != mine[l]) {
         v.ok = false;
         v.nok_index = static_cast<std::uint32_t>(l);
-        v.nok_value = rows_[static_cast<std::size_t>(l)].eval(alpha(j));
+        v.nok_value = mine[l];
         break;  // least failing index
       }
     }
@@ -206,7 +222,7 @@ void StarCore::share_via(const std::vector<int>& holders, const std::vector<int>
   if (rows_valid_ && std::find(holders.begin(), holders.end(), self()) != holders.end()) {
     std::vector<Fp> out;
     out.reserve(static_cast<std::size_t>(L_));
-    for (const auto& row : rows_) out.push_back(row.constant_term());
+    for (std::size_t l = 0; l < rows_.rows(); ++l) out.push_back(rows_.row(l)[0]);
     finish(std::move(out));
     return;
   }

@@ -58,6 +58,9 @@ class StarCore : public Instance {
   /// (each is embedded into a fresh random symmetric bivariate polynomial).
   /// Callable at or after construction; rows go out at max(now, base).
   void deal(const std::vector<Poly>& qs);
+  /// The same, with q^(ℓ) given as row ℓ of a block (ΠVSS re-sharing its
+  /// own rows through its ΠWPS).
+  void deal(const RowBlock& qs);
   /// Dealer-side with explicit bivariate polynomials (tests use this to
   /// inject inconsistent sharings).
   void deal_bivariate(std::vector<SymBivariate> Qs);
@@ -73,6 +76,8 @@ class StarCore : public Instance {
   Tick base() const { return base_; }
   /// The ΠBA verdict (0 = star path via W, 1 = (n,ta)-star path), if decided.
   const std::optional<bool>& ba_verdict() const { return ba_out_; }
+  /// The OK/NOK verdicts this party has received so far.
+  const VerdictState& verdicts() const { return verdicts_; }
 
  protected:
   StarCore(Party& party, std::string id, int dealer, int L, const Ctx& ctx, Tick base,
@@ -99,7 +104,7 @@ class StarCore : public Instance {
   int dealer_, L_;
   Ctx ctx_;
   Tick base_;
-  std::vector<Poly> rows_;  // this party's rows, once a well-formed set arrived
+  RowBlock rows_;  // this party's L rows, once a well-formed set arrived
   bool rows_valid_ = false;
   bool done_ = false;
 

@@ -1,63 +1,66 @@
 #include "src/vss/wire.hpp"
 
+#include <algorithm>
 #include <set>
 
 namespace bobw::wire {
 
-Bytes encode_rows(const std::vector<Poly>& rows, int d) {
-  Writer w;
-  w.u32(static_cast<std::uint32_t>(rows.size()));
-  for (const auto& p : rows) {
-    std::vector<std::uint64_t> coeffs;
-    coeffs.reserve(static_cast<std::size_t>(d) + 1);
-    for (int i = 0; i <= d; ++i) coeffs.push_back(p.coeff(i).value());
-    w.u64s(coeffs);
+namespace {
+constexpr std::size_t kWord = 8;
+
+/// Every word read into `xs` is a canonical field element.
+bool canonical(std::span<const Fp> xs) {
+  return std::all_of(xs.begin(), xs.end(), [](Fp x) { return x.value() < Fp::kP; });
+}
+}  // namespace
+
+Bytes encode_rows(const RowBlock& rows) {
+  const std::size_t m = rows.width();
+  Writer w(4 + rows.rows() * (4 + kWord * m));
+  w.u32(static_cast<std::uint32_t>(rows.rows()));
+  for (std::size_t l = 0; l < rows.rows(); ++l) {
+    w.u32(static_cast<std::uint32_t>(m));
+    w.words(rows.row(l).data(), m);
   }
   return w.take();
 }
 
-std::optional<std::vector<Poly>> decode_rows(const Bytes& b, int L, int d) {
-  try {
-    Reader r(b);
-    if (static_cast<int>(r.u32()) != L) return std::nullopt;
-    std::vector<Poly> rows;
-    rows.reserve(static_cast<std::size_t>(L));
-    for (int l = 0; l < L; ++l) {
-      auto ws = r.u64s();
-      if (static_cast<int>(ws.size()) != d + 1) return std::nullopt;
-      rows.emplace_back(from_words(ws));
-    }
-    if (!r.exhausted()) return std::nullopt;
-    return rows;
-  } catch (const CodecError&) {
-    return std::nullopt;
+std::optional<RowBlock> decode_rows(const Bytes& b, int L, int d) {
+  if (L < 0 || d < 0) return std::nullopt;
+  const std::size_t rows = static_cast<std::size_t>(L), m = static_cast<std::size_t>(d) + 1;
+  if (b.size() != 4 + rows * (4 + kWord * m)) return std::nullopt;
+  Reader r(b);
+  if (r.u32() != rows) return std::nullopt;
+  RowBlock out(rows, m);
+  for (std::size_t l = 0; l < rows; ++l) {
+    if (r.u32() != m) return std::nullopt;
+    r.words(out.row(l).data(), m);
+    if (!canonical(out.row(l))) return std::nullopt;
   }
+  return out;
 }
 
 Bytes encode_points(const std::vector<Fp>& pts) {
-  Writer w;
-  w.u64s(to_words(pts));
+  Writer w(4 + kWord * pts.size());
+  w.u32(static_cast<std::uint32_t>(pts.size()));
+  w.words(pts.data(), pts.size());
   return w.take();
 }
 
-Bytes encode_row_points(const std::vector<Poly>& rows, Fp at) {
-  std::vector<std::uint64_t> ws;
-  ws.reserve(rows.size());
-  for (const auto& row : rows) ws.push_back(row.eval(at).value());
-  Writer w;
-  w.u64s(ws);
-  return w.take();
+Bytes encode_row_points(const RowBlock& rows, Fp at) {
+  std::vector<Fp> pts(rows.rows());
+  eval_rows(rows, at, pts.data());
+  return encode_points(pts);
 }
 
 std::optional<std::vector<Fp>> decode_points(const Bytes& b, int L) {
-  try {
-    Reader r(b);
-    auto ws = r.u64s();
-    if (static_cast<int>(ws.size()) != L || !r.exhausted()) return std::nullopt;
-    return from_words(ws);
-  } catch (const CodecError&) {
-    return std::nullopt;
-  }
+  if (L < 0 || b.size() != 4 + kWord * static_cast<std::size_t>(L)) return std::nullopt;
+  Reader r(b);
+  if (r.u32() != static_cast<std::uint32_t>(L)) return std::nullopt;
+  std::vector<Fp> pts(static_cast<std::size_t>(L));
+  r.words(pts.data(), pts.size());
+  if (!canonical(pts)) return std::nullopt;
+  return pts;
 }
 
 Bytes encode_verdict(const Verdict& v) {

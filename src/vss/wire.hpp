@@ -7,22 +7,25 @@
 
 #include "src/common/codec.hpp"
 #include "src/field/fp.hpp"
-#include "src/field/poly.hpp"
+#include "src/field/kernels.hpp"
 
 namespace bobw::wire {
 
-/// L dealer row polynomials, each with exactly d+1 coefficients.
-Bytes encode_rows(const std::vector<Poly>& rows, int d);
-std::optional<std::vector<Poly>> decode_rows(const Bytes& b, int L, int d);
+/// L dealer row polynomials of d+1 coefficients each: u32 L, then per row
+/// u32 (d+1) and its d+1 coefficient words — 4 + L(4 + 8(d+1)) bytes.
+Bytes encode_rows(const RowBlock& rows);
+/// Accepts exactly that layout for the expected L and d, with every
+/// coefficient a canonical field element and nothing trailing. The length
+/// is checked before anything is allocated.
+std::optional<RowBlock> decode_rows(const Bytes& b, int L, int d);
 
 /// L field values (pairwise consistency points / share vectors).
 Bytes encode_points(const std::vector<Fp>& pts);
 std::optional<std::vector<Fp>> decode_points(const Bytes& b, int L);
 
-/// Evaluate every row polynomial at `at` and encode the L values in one
-/// pass — the per-recipient payload of the WPS point-distribution round,
-/// without materialising the intermediate vector<Fp>.
-Bytes encode_row_points(const std::vector<Poly>& rows, Fp at);
+/// Evaluate every row at `at` (one eval_rows call) and encode the L values —
+/// the per-recipient payload of the WPS point-distribution round.
+Bytes encode_row_points(const RowBlock& rows, Fp at);
 
 /// OK / NOK(least failing index, claimed value) verdict broadcast.
 struct Verdict {

@@ -232,6 +232,24 @@ TEST(Codec, RoundTrip) {
   EXPECT_TRUE(r.exhausted());
 }
 
+TEST(Codec, LittleEndianBytesArePinned) {
+  Writer w;
+  w.u32(0x01020304u);
+  EXPECT_EQ(w.data(), (Bytes{4, 3, 2, 1}));
+  Writer w2;
+  w2.u64(0x0102030405060708ULL);
+  EXPECT_EQ(w2.data(), (Bytes{8, 7, 6, 5, 4, 3, 2, 1}));
+  Writer w3;
+  w3.u64s({1, 0xAABBULL});
+  EXPECT_EQ(w3.data(), (Bytes{2, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0xBB, 0xAA, 0, 0, 0, 0, 0, 0}));
+  Writer w4;
+  w4.u64s({});
+  EXPECT_EQ(w4.data(), (Bytes{0, 0, 0, 0}));
+  Reader r(w3.data());
+  EXPECT_EQ(r.u64s(), (std::vector<std::uint64_t>{1, 0xAABB}));
+  EXPECT_TRUE(r.exhausted());
+}
+
 TEST(Codec, ThrowsOnTruncation) {
   Writer w;
   w.u64(1);

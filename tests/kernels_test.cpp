@@ -154,6 +154,73 @@ TEST(BivariateDiff, FromRowsMatchesPerRowSeedInterpolation) {
   }
 }
 
+TEST(EvalRowsDiff, MatchesPolyEvalAtEveryWidth) {
+  // One power row plus one 128-bit-accumulated dot product per row must
+  // agree with Horner's rule on every row, including widths that cross the
+  // 64-term fold (65, 130), all-zero rows, rows of p-1 and the point p-1.
+  Rng rng(2102);
+  const Fp top(Fp::kP - 1);
+  for (std::size_t m : {1u, 2u, 3u, 64u, 65u, 130u}) {
+    const std::size_t L = 5;
+    RowBlock rows(L, m);  // row 0 stays all zero
+    for (auto& c : rows.row(1)) c = top;
+    for (std::size_t l = 2; l < L; ++l)
+      for (auto& c : rows.row(l)) c = Fp::random(rng);
+    rows.row(L - 1)[m - 1] = top;
+    for (Fp at : {Fp(0), Fp(1), top, alpha(6), Fp::random(rng)}) {
+      std::vector<Fp> got(L);
+      eval_rows(rows, at, got.data());
+      for (std::size_t l = 0; l < L; ++l) {
+        const Poly p(std::vector<Fp>(rows.row(l).begin(), rows.row(l).end()));
+        EXPECT_EQ(got[l], p.eval(at)) << "m=" << m << " l=" << l << " at=" << at;
+      }
+    }
+  }
+}
+
+TEST(EvalRowsDiff, DotIsExactAtTheLargestAccumulator) {
+  // (p-1)^2 = 1, so k products of p-1 by p-1 sum to k — the largest value
+  // the 128-bit accumulator ever holds before a fold.
+  const Fp top(Fp::kP - 1);
+  for (std::size_t k : {0u, 1u, 63u, 64u, 65u, 128u, 130u, 1000u}) {
+    const std::vector<Fp> a(k, top);
+    EXPECT_EQ(dot(a.data(), a.data(), k), Fp(k)) << "k=" << k;
+  }
+}
+
+TEST(BivariateFlat, RowIntoMatchesRowAndEvalIsUnchanged) {
+  Rng rng(2103);
+  for (int d : {0, 1, 2, 5, 64}) {
+    const Poly q = Poly::random(d, rng);
+    const SymBivariate Q = SymBivariate::random_embedding(d, q, rng);
+    const std::size_t m = static_cast<std::size_t>(d) + 1;
+    for (Fp at : {Fp(0), alpha(3), Fp(Fp::kP - 1), Fp::random(rng)}) {
+      std::vector<Fp> c(m);
+      Q.row_into(power_row(at, d).data(), c.data());
+      const Poly row = Q.row(at);
+      for (std::size_t i = 0; i < m; ++i) EXPECT_EQ(c[i], row.coeff(static_cast<int>(i))) << d;
+      const Fp x = Fp::random(rng);
+      EXPECT_EQ(row.eval(x), Q.eval(x, at)) << d;
+      EXPECT_EQ(Q.eval(x, at), Q.eval(at, x)) << d;  // symmetric
+      EXPECT_EQ(Q.eval(Fp(0), at), q.eval(at)) << d;  // embeds q
+    }
+  }
+  // Values pinned from the nested-vector storage this layout replaced.
+  Rng pin(7);
+  const std::uint64_t eval_pin[] = {784232326761630812ULL, 1653191690743113256ULL,
+                                    2011661308597746636ULL};
+  const std::uint64_t row_pin[] = {1839217895299199794ULL, 260649312843755414ULL,
+                                   666977578035923457ULL};
+  int k = 0;
+  for (int d : {1, 2, 5}) {
+    const Poly q = Poly::random(d, pin);
+    const SymBivariate Q = SymBivariate::random_embedding(d, q, pin);
+    EXPECT_EQ(Q.eval(Fp(5), Fp(11)).value(), eval_pin[k]) << d;
+    EXPECT_EQ(Q.row(alpha(2)).coeff(1).value(), row_pin[k]) << d;
+    ++k;
+  }
+}
+
 TEST(OecDiff, MatchesScalarSeedOnRandomStreams) {
   // Streams over the full protocol grid: up to t corrupt points at random
   // positions, arrival order shuffled, occasional duplicate-x injections.

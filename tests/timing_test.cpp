@@ -38,14 +38,21 @@ TEST(Timing, NextMultiple) {
   EXPECT_EQ(next_multiple(5, 0), 5u);
 }
 
+RowBlock block_of(const std::vector<Poly>& polys, int d) {
+  RowBlock rows(polys.size(), static_cast<std::size_t>(d) + 1);
+  for (std::size_t l = 0; l < polys.size(); ++l)
+    for (std::size_t k = 0; k < rows.width(); ++k) rows.row(l)[k] = polys[l].coeff(static_cast<int>(k));
+  return rows;
+}
+
 TEST(Wire, RowsRoundTripAndRejection) {
   Rng rng(1);
-  std::vector<Poly> rows{Poly::random(2, rng), Poly::random(1, rng)};
-  Bytes b = wire::encode_rows(rows, 2);
+  RowBlock rows = block_of({Poly::random(2, rng), Poly::random(1, rng)}, 2);
+  Bytes b = wire::encode_rows(rows);
+  ASSERT_EQ(b.size(), 4u + 2 * (4 + 8 * 3));
   auto dec = wire::decode_rows(b, 2, 2);
   ASSERT_TRUE(dec);
-  EXPECT_EQ((*dec)[0], rows[0]);
-  EXPECT_EQ((*dec)[1], rows[1]);
+  EXPECT_EQ(*dec, rows);
   // Wrong L.
   EXPECT_FALSE(wire::decode_rows(b, 3, 2));
   // Wrong degree bound.
@@ -57,6 +64,65 @@ TEST(Wire, RowsRoundTripAndRejection) {
   Bytes extra = b;
   extra.push_back(0);
   EXPECT_FALSE(wire::decode_rows(extra, 2, 2));
+  // One missing byte.
+  Bytes short_one(b.begin(), b.end() - 1);
+  EXPECT_FALSE(wire::decode_rows(short_one, 2, 2));
+  // A coefficient word equal to p is not a field element; p - 1 is.
+  auto with_word = [&](std::uint64_t word) {
+    Bytes out = b;
+    const std::size_t at = 4 + (4 + 8 * 3) + 4 + 8;  // row 1, coefficient 1
+    for (int k = 0; k < 8; ++k) out[at + static_cast<std::size_t>(k)] = static_cast<std::uint8_t>(word >> (8 * k));
+    return out;
+  };
+  EXPECT_FALSE(wire::decode_rows(with_word(Fp::kP), 2, 2));
+  auto top = wire::decode_rows(with_word(Fp::kP - 1), 2, 2);
+  ASSERT_TRUE(top);
+  EXPECT_EQ(top->row(1)[1], Fp(Fp::kP - 1));
+  // A row whose length word disagrees with d+1, in a buffer of the right size.
+  Bytes bad_len = b;
+  bad_len[4] = 2;
+  EXPECT_FALSE(wire::decode_rows(bad_len, 2, 2));
+}
+
+TEST(Wire, RowsRejectHugeHeaderWithoutAllocating) {
+  // A header claiming 2^31 rows on a short buffer.
+  Writer w;
+  w.u32(0x80000000u);
+  w.u32(3);
+  w.u64(1);
+  EXPECT_FALSE(wire::decode_rows(w.data(), 2, 2));
+  // Even when the caller expects that many rows of that many coefficients
+  // (about 2^54 bytes), the length check rejects the buffer before a block
+  // is allocated.
+  Writer w2;
+  w2.u32(0x7FFFFFFFu);
+  w2.u32((1u << 20) + 1);
+  EXPECT_FALSE(wire::decode_rows(w2.data(), 0x7FFFFFFF, 1 << 20));
+}
+
+TEST(Wire, RowsBytesArePinned) {
+  // u32 L, then per row u32 (d+1) and d+1 little-endian coefficient words.
+  RowBlock rows(2, 2);
+  rows.row(0)[0] = Fp(1);
+  rows.row(0)[1] = Fp(0x0102030405060708ULL);
+  rows.row(1)[0] = Fp(Fp::kP - 1);
+  rows.row(1)[1] = Fp(0);
+  const Bytes expect{
+      2, 0, 0, 0,                                         // L
+      2, 0, 0, 0,                                         // row 0: d+1
+      1, 0, 0, 0, 0, 0, 0, 0,                             //   coefficient 0
+      8, 7, 6, 5, 4, 3, 2, 1,                             //   coefficient 1
+      2, 0, 0, 0,                                         // row 1: d+1
+      0xFE, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x1F,     //   p - 1
+      0, 0, 0, 0, 0, 0, 0, 0,                             //   0
+  };
+  EXPECT_EQ(wire::encode_rows(rows), expect);
+  auto dec = wire::decode_rows(expect, 2, 1);
+  ASSERT_TRUE(dec);
+  EXPECT_EQ(*dec, rows);
+  // The point payload at x = 0 carries each row's constant term.
+  EXPECT_EQ(wire::encode_row_points(rows, Fp(0)),
+            wire::encode_points({Fp(1), Fp(Fp::kP - 1)}));
 }
 
 TEST(Wire, PointsRejectOutOfRangeElements) {

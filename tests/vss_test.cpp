@@ -333,6 +333,38 @@ TEST(Vss, SyncStrongCommitmentInconsistentDealer) {
   }
 }
 
+TEST(Vss, MultiLaneNokNamesLeastFailingLane) {
+  // L = 4 and the dealer tampers P3's rows at lanes 2 and 3. Lanes 0 and 1
+  // stay consistent, so every honest verdict on P3 is NOK(2, f_i(α_3) at
+  // lane 2): the least failing lane, with the verifier's own value.
+  const int n = 4, ts = 1, ta = 0, L = 4;
+  auto w = make_world(n, ts, ta, NetMode::kSynchronous, test::passive({0}));
+  VssRun run(w, 0, L, 0);
+  Rng rng(61);
+  std::vector<SymBivariate> Qs;
+  std::vector<std::vector<Poly>> rows(static_cast<std::size_t>(n));
+  for (int l = 0; l < L; ++l) {
+    Qs.push_back(SymBivariate::random_embedding(ts, Poly::random(ts, rng), rng));
+    for (int i = 0; i < n; ++i) rows[static_cast<std::size_t>(i)].push_back(Qs.back().row(alpha(i)));
+  }
+  rows[3][2] = rows[3][2] + Poly(std::vector<Fp>{Fp(1)});
+  rows[3][3] = rows[3][3] + Poly(std::vector<Fp>{Fp(2), Fp(3)});
+  w.party(0).at(0, [&] { run.inst[0]->deal_rows_custom(Qs, rows); });
+  w.sim->run();
+  for (int observer = 1; observer < n; ++observer) {
+    const VerdictState& vs = run.inst[static_cast<std::size_t>(observer)]->verdicts();
+    for (int i = 1; i < n; ++i) {
+      if (i == 3) continue;
+      const auto& v = vs.reg(i, 3);
+      ASSERT_TRUE(v) << "observer " << observer << " verifier " << i;
+      EXPECT_FALSE(v->ok) << "observer " << observer << " verifier " << i;
+      EXPECT_EQ(v->nok_index, 2u) << "observer " << observer << " verifier " << i;
+      EXPECT_EQ(v->nok_value, Qs[2].eval(alpha(3), alpha(i)))
+          << "observer " << observer << " verifier " << i;
+    }
+  }
+}
+
 TEST(Vss, AsyncStrongCommitmentCorruptDealer) {
   const int n = 5, ts = 1, ta = 1, L = 1;
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
