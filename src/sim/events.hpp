@@ -1,22 +1,27 @@
-// Discrete-event core: a deterministic (time, priority, sequence) order over
-// two lanes. Ties are broken by insertion sequence so runs are fully
-// reproducible.
+// Discrete-event core: a deterministic (time, priority, sequence) order.
+// Ties are broken by insertion sequence so runs are fully reproducible.
 //
-// The hot lane is typed: message deliveries are plain {seq, Msg} records
-// handed to a single delivery sink (Sim routes them to Party::deliver) — no
-// per-message heap closure, no std::function dispatch. It is stored as a
-// calendar: one append-ordered bucket per destination tick plus a min-heap of
-// live ticks, so posting is O(1) amortised and draining a whole tick — the
-// unit of work of the parallel window executor in src/sim/executor.hpp — is
-// O(1) instead of one heap pop per message. Appends within a bucket are
-// already in seq order, so the calendar pops in exactly the order the old
-// binary heap did.
+// The queue is a calendar (Brown, CACM 1988): one bucket per tick that has
+// pending events, found through a hash map, plus a min-heap of those ticks.
+// A bucket holds three append-only lanes, each consumed front-to-back by a
+// cursor:
+//   deliveries  typed {seq, Msg} records handed to the delivery sink (Sim
+//               routes them to Party::deliver), no per-message closure;
+//   flushes     kDelivery-priority closures (registration flushes);
+//   timers      kTimer closures (protocol timers and deadlines).
+// The sequence counter is global and monotone, so every lane is seq-sorted
+// as it is appended to, the tick being drained included. Running a bucket as
+// "merge deliveries and flushes by seq, then the timers" is therefore exactly
+// the (time, pri, seq) order. The paper's synchronous protocols end every
+// round, deadline and phase on a multiple of Δ, so a run touches few distinct
+// ticks, and step() consults the heap and the map once per tick, not once
+// per event.
 //
-// The closure lane remains a binary heap for protocol timers and the
-// registration-flush events, which are rare next to deliveries. Each timer
-// carries the id of the party whose state its closure touches (kNoOwner for
-// ad-hoc test closures), which is what lets the window executor shard a
-// tick's events across threads by party.
+// Each closure carries the id of the party whose state it touches (kNoOwner
+// for ad-hoc test closures). step() hands an owned closure to the fire sink
+// (Sim runs it through Party::fire, which skips halted parties), and the
+// owner is what lets the window executor shard a tick's events across
+// threads by party.
 #pragma once
 
 #include <cstdint>
@@ -51,13 +56,18 @@ class EventQueue {
 
   /// Install the delivery sink. Must be set before the first post_delivery.
   void on_delivery(std::function<void(Msg&&)> sink) { sink_ = std::move(sink); }
+  /// Install the fire sink: step() hands it every closure whose owner is not
+  /// kNoOwner. Without one, step() calls every closure itself.
+  void on_fire(std::function<void(int owner, const std::function<void()>& fn)> sink) {
+    fire_ = std::move(sink);
+  }
 
   /// Enqueue a message on the typed delivery lane (priority kDelivery).
   void post_delivery(Tick time, Msg m);
 
   Tick now() const { return now_; }
-  bool empty() const { return timers_.empty() && n_deliveries_ == 0; }
-  std::size_t pending() const { return timers_.size() + n_deliveries_; }
+  bool empty() const { return pending_ == 0; }
+  std::size_t pending() const { return pending_; }
 
   /// Pop and execute the earliest event. Returns false when queue is empty.
   bool step();
@@ -82,16 +92,16 @@ class EventQueue {
     Msg msg;
   };
   struct Ev {
-    Tick time;
     int pri;
     int owner;
     std::uint64_t seq;
     std::function<void()> fn;
   };
-  /// Every event due at one tick. `deliveries` is seq-ascending, `timers` is
-  /// (pri, seq)-ascending — concatenating "deliveries then timers" is NOT the
-  /// execution order (a kDelivery-priority flush closure in `timers` precedes
-  /// every kTimer entry but follows earlier-seq deliveries only by pri tie).
+  /// Every event due at one tick. `deliveries` is seq-ascending; `timers` is
+  /// the flush lane then the timer lane, so (pri, seq)-ascending.
+  /// Concatenating "deliveries then timers" is NOT the execution order (a
+  /// kDelivery-priority flush closure in `timers` precedes every kTimer entry
+  /// but interleaves with the deliveries by seq).
   struct DueBatch {
     Tick tick = 0;
     std::vector<Dv> deliveries;
@@ -113,38 +123,44 @@ class EventQueue {
   std::uint64_t alloc_seq() { return seq_++; }
 
  private:
-  // One calendar bucket: deliveries destined for a single tick, consumed
-  // front-to-back via `head`. References into the map stay valid across
-  // rehash (node-based), so last_bucket_ may cache one.
-  struct Bucket {
-    std::vector<Dv> dvs;
+  /// Events of one class at one tick, appended in seq order and consumed
+  /// front-to-back from `head`.
+  template <class T>
+  struct Lane {
+    std::vector<T> items;
     std::size_t head = 0;
+    std::size_t size() const { return items.size() - head; }
+    T& pop() { return items[head++]; }
+    /// Move the unconsumed events to the end of `out`.
+    void take(std::vector<T>& out);
   };
-  // Max-heap comparator for std::push_heap/pop_heap ("is later than" puts
-  // the earliest timer at front()).
-  static bool ev_later(const Ev& a, const Ev& b) {
-    if (a.time != b.time) return a.time > b.time;
-    if (a.pri != b.pri) return a.pri > b.pri;
-    return a.seq > b.seq;
-  }
+  struct Bucket {
+    Lane<Dv> dvs;
+    Lane<Ev> flushes;  // kDelivery closures
+    Lane<Ev> timers;   // kTimer closures
+    Lane<Ev>& closures(int pri) { return pri == kDelivery ? flushes : timers; }
+    bool done() const { return dvs.size() + flushes.size() + timers.size() == 0; }
+  };
   static bool tick_later(Tick a, Tick b) { return a > b; }
 
   Bucket& bucket_for(Tick time);
-  /// Earliest tick with a live (non-drained) bucket, lazily discarding heap
-  /// entries for drained ones. Requires n_deliveries_ > 0.
-  Tick min_delivery_tick();
-  const Dv& front_delivery();
-  void pop_front_delivery();
-  /// True when the delivery lane holds the globally earliest event.
-  bool delivery_first();
+  /// The earliest bucket with events left, cached in cur_; drops drained
+  /// buckets on the way. Requires !empty().
+  Bucket& front();
+  /// Erase cur_, which must be the bucket at the heap's top.
+  void drop_front();
 
-  std::vector<Ev> timers_;
+  // References into the map stay valid across rehash (node-based), so cur_
+  // and last_bucket_ may cache one. The heap holds exactly the map's keys.
   std::unordered_map<Tick, Bucket> buckets_;
-  std::vector<Tick> tick_heap_;  // may hold stale ticks; cleaned lazily
-  std::size_t n_deliveries_ = 0;
+  std::vector<Tick> tick_heap_;
+  Bucket* cur_ = nullptr;  // null, or the bucket at the heap's top
+  Tick cur_tick_ = 0;
   Bucket* last_bucket_ = nullptr;  // append cache for the hot same-tick burst
   Tick last_tick_ = 0;
+  std::size_t pending_ = 0;
   std::function<void(Msg&&)> sink_;
+  std::function<void(int, const std::function<void()>&)> fire_;
   Tick now_ = 0;
   std::uint64_t seq_ = 0;
   bool truncated_ = false;

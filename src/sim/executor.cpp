@@ -153,14 +153,16 @@ void WindowExecutor::execute_party(int p) {
         ++di;
         break;
       case 1:
-        batch_.timers[w.evs[ti]].fn();
+        party.fire(batch_.timers[w.evs[ti]].fn);
         ++ti;
         break;
       default: {
         std::pop_heap(sheap.begin(), sheap.end(), s_later);
         const std::uint32_t s = sheap.back();
         sheap.pop_back();
-        ctx.spawned[s].fn();
+        // Moved out first: the closure may spawn, growing ctx.spawned.
+        const std::function<void()> fn = std::move(ctx.spawned[s].fn);
+        party.fire(fn);
         break;
       }
     }

@@ -17,14 +17,11 @@ int Party::n() const { return sim_->n(); }
 Tick Party::now() const { return sim_->now(); }
 
 void Party::at(Tick time, std::function<void()> fn) {
-  auto wrapped = [this, f = std::move(fn)]() {
-    if (!halted_) f();
-  };
   if (win_ != nullptr) {
-    win_->record_timer(time, EventQueue::kTimer, std::move(wrapped));
+    win_->record_timer(time, EventQueue::kTimer, std::move(fn));
     return;
   }
-  sim_->queue().at(time, EventQueue::kTimer, id_, std::move(wrapped));
+  sim_->queue().at(time, EventQueue::kTimer, id_, std::move(fn));
 }
 
 void Party::send(int to, RouteId route, int type, Payload body) {
@@ -105,6 +102,9 @@ Sim::Sim(int n, NetConfig net, std::uint64_t seed, std::shared_ptr<Adversary> ad
   if (adversary_) adversary_->bind_routes(&routes_);
   queue_.on_delivery([this](Msg&& m) {
     parties_[static_cast<std::size_t>(m.to)]->deliver(m);
+  });
+  queue_.on_fire([this](int owner, const std::function<void()>& fn) {
+    parties_[static_cast<std::size_t>(owner)]->fire(fn);
   });
   parties_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i)

@@ -48,7 +48,15 @@ class Party {
 
   /// Local-clock timer (local time == simulation time; the paper's protocols
   /// only use local timers, never a shared clock, in the asynchronous case).
+  /// `fn` is queued as is, owned by this party; it runs through fire(), so
+  /// it never runs once the party has halted.
   void at(Tick time, std::function<void()> fn);
+  /// Run one of this party's queued closures unless the party has halted.
+  /// The one halted check on timers: both the sequential engine (through
+  /// EventQueue's fire sink) and the window executor fire through it.
+  void fire(const std::function<void()>& fn) {
+    if (!halted_) fn();
+  }
 
   /// Send a point-to-point message over the pairwise channel. The fast path
   /// used by every Instance: the route was interned once at registration.

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <stdexcept>
+#include <string>
+#include <tuple>
 
 #include "src/sim/instance.hpp"
 #include "src/sim/network.hpp"
@@ -41,6 +45,188 @@ TEST(EventQueue, RespectsMaxTime) {
   q.run(/*max_time=*/15);
   EXPECT_EQ(ran, 1);
   EXPECT_FALSE(q.empty());
+}
+
+TEST(EventQueue, FlushQueuedWhileTimersDrainRunsBeforeRemainingTimers) {
+  EventQueue q;
+  std::vector<int> order;
+  q.at(10, EventQueue::kTimer, [&] {
+    order.push_back(1);
+    q.at(q.now(), EventQueue::kDelivery, [&] { order.push_back(2); });
+  });
+  q.at(10, EventQueue::kTimer, [&] { order.push_back(3); });
+  q.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueue, TimerQueuedForNowRunsAfterTimersAlreadyAtThatTick) {
+  EventQueue q;
+  std::vector<int> order;
+  q.at(10, [&] {
+    order.push_back(1);
+    q.at(q.now(), [&] { order.push_back(4); });
+  });
+  q.at(10, [&] { order.push_back(2); });
+  q.at(10, [&] { order.push_back(3); });
+  q.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(EventQueue, DeliveriesAndFlushesInterleaveBySeq) {
+  EventQueue q;
+  std::vector<int> order;
+  q.on_delivery([&](Msg&& m) { order.push_back(m.type); });
+  auto post = [&](int id) {
+    Msg m;
+    m.type = id;
+    q.post_delivery(10, std::move(m));
+  };
+  q.at(10, EventQueue::kTimer, [&] { order.push_back(4); });
+  post(0);
+  q.at(10, EventQueue::kDelivery, [&] { order.push_back(1); });
+  post(2);
+  q.at(10, EventQueue::kDelivery, [&] { order.push_back(3); });
+  q.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+// A mixed workload at two ticks: deliveries, flushes and timers interleaved,
+// some spawning same-tick work when they fire.
+void fill_mixed(EventQueue& q, std::vector<int>& order) {
+  q.on_delivery([&order](Msg&& m) { order.push_back(m.type); });
+  for (int i = 0; i < 12; ++i) {
+    const Tick t = i % 3 == 0 ? 20 : 10;
+    switch (i % 4) {
+      case 0: {
+        Msg m;
+        m.type = i;
+        q.post_delivery(t, std::move(m));
+        break;
+      }
+      case 1:
+        q.at(t, EventQueue::kDelivery, [&order, i] { order.push_back(i); });
+        break;
+      default:
+        q.at(t, EventQueue::kTimer, [&q, &order, i] {
+          order.push_back(i);
+          q.at(q.now(), EventQueue::kDelivery, [&order, i] { order.push_back(100 + i); });
+        });
+    }
+  }
+}
+
+TEST(EventQueue, HarvestThenRestoreKeepsStepOrder) {
+  EventQueue plain, handed_back;
+  std::vector<int> want, got;
+  fill_mixed(plain, want);
+  fill_mixed(handed_back, got);
+  plain.run();
+
+  EventQueue::DueBatch batch;
+  const Tick t = handed_back.next_time();
+  handed_back.harvest(t, batch);
+  EXPECT_EQ(batch.deliveries.size() + batch.timers.size(), 8u);
+  EXPECT_EQ(handed_back.now(), t);
+  handed_back.restore(std::move(batch));
+  EXPECT_EQ(handed_back.pending(), 12u);
+  handed_back.run();
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(want.size(), 18u);
+}
+
+// Differential check against a reference that keeps every pending event in
+// a plain vector and fires the least by (time, pri, seq). Each firing
+// spawns children as a pure function of (seed, id, now), many at the
+// current tick, so the two engines spawn identically exactly as long as
+// they fire in the same order.
+TEST(EventQueue, MatchesSortedReferenceOnRandomMix) {
+  constexpr int kMaxIds = 4000;
+  enum Kind { kPost, kFlush, kTimer };
+  struct Spawn {
+    Tick time;
+    Kind kind;
+  };
+  auto children = [](std::uint64_t seed, int id, Tick now) {
+    Rng r(mix64(seed * std::uint64_t{1000003} + static_cast<std::uint64_t>(id)));
+    std::vector<Spawn> out(r.next_below(4));
+    for (Spawn& s : out) {
+      s.time = now + (r.next_bool() ? 0 : r.next_range(1, 5));
+      s.kind = static_cast<Kind>(r.next_below(3));
+    }
+    return out;
+  };
+  auto roots = [](std::uint64_t seed) {
+    Rng r(seed);
+    std::vector<Spawn> out(40);
+    for (Spawn& s : out) {
+      s.time = r.next_below(16);
+      s.kind = static_cast<Kind>(r.next_below(3));
+    }
+    return out;
+  };
+
+  auto run_queue = [&](std::uint64_t seed) {
+    EventQueue q;
+    std::vector<int> fired;
+    int next_id = 0;
+    std::function<void(const Spawn&)> add;
+    auto fire = [&](int id) {
+      fired.push_back(id);
+      if (next_id < kMaxIds)
+        for (const Spawn& s : children(seed, id, q.now())) add(s);
+    };
+    add = [&](const Spawn& s) {
+      const int id = next_id++;
+      if (s.kind == kPost) {
+        Msg m;
+        m.type = id;
+        q.post_delivery(s.time, std::move(m));
+      } else {
+        q.at(s.time, s.kind == kFlush ? EventQueue::kDelivery : EventQueue::kTimer,
+             [&fire, id] { fire(id); });
+      }
+    };
+    q.on_delivery([&](Msg&& m) { fire(m.type); });
+    for (const Spawn& s : roots(seed)) add(s);
+    q.run();
+    return fired;
+  };
+
+  auto run_reference = [&](std::uint64_t seed) {
+    struct Rec {
+      Tick time;
+      int pri;
+      std::uint64_t seq;
+      int id;
+    };
+    std::vector<Rec> pending;
+    std::vector<int> fired;
+    std::uint64_t seq = 0;
+    Tick now = 0;
+    auto add = [&](const Spawn& s) {
+      const int id = static_cast<int>(seq);
+      pending.push_back(Rec{std::max(s.time, now), s.kind == kTimer ? 1 : 0, seq++, id});
+    };
+    for (const Spawn& s : roots(seed)) add(s);
+    while (!pending.empty()) {
+      std::sort(pending.begin(), pending.end(), [](const Rec& a, const Rec& b) {
+        return std::tie(a.time, a.pri, a.seq) < std::tie(b.time, b.pri, b.seq);
+      });
+      const Rec r = pending.front();
+      pending.erase(pending.begin());
+      now = r.time;
+      fired.push_back(r.id);
+      if (static_cast<int>(seq) < kMaxIds)
+        for (const Spawn& s : children(seed, r.id, now)) add(s);
+    }
+    return fired;
+  };
+
+  for (std::uint64_t seed : {1ULL, 2ULL, 3ULL, 20261019ULL}) {
+    const std::vector<int> want = run_reference(seed);
+    EXPECT_GT(want.size(), 1000u) << seed;
+    EXPECT_EQ(run_queue(seed), want) << seed;
+  }
 }
 
 TEST(NetConfig, RejectsInvertedDelayRanges) {
@@ -119,6 +305,40 @@ TEST(Sim, HaltedPartyStopsProcessing) {
   w.party(1).at(10, [&] { w.party(1).send(0, "echo", 1, {}); });
   w.sim->run();
   EXPECT_TRUE(a.received.empty());
+}
+
+// A party that halts at tick Δ runs none of its later timers: not one
+// queued behind the halting timer at Δ, not one it spawned at Δ before
+// halting, not one at a later tick. Every tick carries deliveries, so with
+// min_batch = 1 the window executor runs the timers at threads = 2.
+TEST(Sim, HaltedPartyRunsNoLaterTimer) {
+  for (int threads : {1, 2}) {
+    auto w = make_world(4, 1, 0, NetMode::kSynchronous);
+    w.sim->set_threads(threads, /*min_batch=*/1);
+    std::vector<std::unique_ptr<EchoInst>> inst;
+    for (int i = 0; i < 4; ++i) inst.push_back(std::make_unique<EchoInst>(w.party(i), "echo"));
+    const Tick d = w.ctx.delta;
+    std::vector<std::string> ran;
+    for (int i = 0; i < 4; ++i)
+      for (Tick t : {Tick{0}, d, 2 * d})
+        w.party(i).at(t, [&w, i] { w.party(i).send_all("echo", 0, Bytes{1}); });
+    Party& p0 = w.party(0);
+    p0.at(d, [&] {
+      ran.push_back("before halt");
+      p0.at(p0.now(), [&] { ran.push_back("spawned at d"); });
+      p0.at(3 * d, [&] { ran.push_back("spawned for 3d"); });
+    });
+    p0.at(d, [&] { p0.halt(); });
+    p0.at(d, [&] { ran.push_back("queued at d"); });
+    p0.at(2 * d, [&] { ran.push_back("at 2d"); });
+    w.sim->run();
+    EXPECT_EQ(ran, (std::vector<std::string>{"before halt"})) << "threads " << threads;
+    EXPECT_TRUE(p0.halted());
+    // Party 0 received round 0 before halting, nothing after it; party 1
+    // received every round.
+    EXPECT_EQ(inst[0]->received.size(), 4u) << "threads " << threads;
+    EXPECT_EQ(inst[1]->received.size(), 11u) << "threads " << threads;
+  }
 }
 
 TEST(Sim, MetricsCountHonestBitsOnly) {
