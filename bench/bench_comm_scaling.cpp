@@ -16,8 +16,9 @@
 // Since PR 5 it also measures the ok-verdict broadcast grid both ways in the
 // same binary: n² ΠBC slots on the slot-multiplexed BcBank versus n²
 // independent per-pair Bc instances (the frozen pre-bank path in
-// bench/legacy_bcgrid.hpp). The message-count reduction and the wall-clock
-// ratio are the machine-portable before/after claims gated in CI.
+// tests/reference/legacy_bcgrid.hpp, from the bobw_reference library). The
+// message-count reduction and the wall-clock ratio are the machine-portable
+// before/after claims gated in CI.
 //
 // With --emit-json PATH, appends the "comm_scaling" section consumed by the
 // CI bench-quick job (BENCH_pr5.json).
@@ -27,13 +28,13 @@
 #include <thread>
 
 #include "bench/bench_util.hpp"
-#include "bench/legacy_bcgrid.hpp"
-#include "src/bcast/acast.hpp"
 #include "src/bcast/bc_bank.hpp"
 #include "src/vss/vss.hpp"
 #include "src/vss/wire.hpp"
 #include "src/vss/wps.hpp"
 #include "tests/harness.hpp"
+#include "tests/reference/acast.hpp"
+#include "tests/reference/legacy_bcgrid.hpp"
 
 using namespace bobw;
 
@@ -108,7 +109,8 @@ Run measure_wps(int n) {
 // The ΠWPS/ΠVSS ok-verdict grid, both ways in one binary: n² ΠBC slots (slot
 // i*n+j = Pi's 1-byte OK verdict on Pj, one shared start time — exactly the
 // pairwise-consistency broadcast workload) on the BcBank versus n²
-// independent per-pair Bc instances from bench/legacy_bcgrid.hpp.
+// independent per-pair Bc instances from
+// tests/reference/legacy_bcgrid.hpp.
 // ---------------------------------------------------------------------------
 
 struct GridRun {

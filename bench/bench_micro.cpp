@@ -13,11 +13,10 @@
 #include "src/field/kernels.hpp"
 #include "src/field/poly.hpp"
 #include "src/graph/star.hpp"
-#include "src/rs/oec.hpp"
 #include "src/rs/oec_bank.hpp"
-#include "src/rs/reed_solomon.hpp"
-#include "src/rs/reference.hpp"
 #include "src/vss/wire.hpp"
+#include "tests/reference/reference.hpp"
+#include "tests/reference/scalar_decoder.hpp"
 
 namespace bobw {
 namespace {
@@ -39,16 +38,24 @@ Points points_on_random_poly(int d, int count, std::uint64_t seed) {
   return p;
 }
 
+// One arrival into either OEC; true once it has decoded.
+bool feed(ref::Oec& oec, Fp x, Fp y) {
+  oec.add_point(x, y);
+  return oec.done();
+}
+bool feed(OecBank& oec, Fp x, Fp y) {
+  oec.add_point(x, std::span<const Fp>(&y, 1));
+  return oec.all_done();
+}
+
 // Stream an n-point opening with the full t corrupt points arriving first —
-// the decoder's worst case — through any OEC implementation.
+// the decoder's worst case — through the seed ref::Oec or a one-lane OecBank.
 template <typename OecT>
-void run_oec_stream(int n, int d, int t, const Points& p) {
-  OecT oec(d, t);
+void run_oec_stream(OecT oec, int n, int t, const Points& p) {
   for (int k = 0; k < n; ++k) {
     Fp y = p.ys[static_cast<std::size_t>(k)];
     if (k < t) y += Fp(9);
-    oec.add_point(p.xs[static_cast<std::size_t>(k)], y);
-    if (oec.done()) break;
+    if (feed(oec, p.xs[static_cast<std::size_t>(k)], y)) break;
   }
 }
 
@@ -81,21 +88,21 @@ BankPoints bank_points(int n, int d, int L, int corrupt_first, std::uint64_t see
 // fed to every not-yet-done lane, values read per lane — exactly what the
 // batched consumers did before OecBank.
 Fp run_per_instance(const BankPoints& p, int d, int t, int L) {
-  std::vector<Oec> oecs;
+  std::vector<OecBank> oecs;
   oecs.reserve(static_cast<std::size_t>(L));
-  for (int l = 0; l < L; ++l) oecs.emplace_back(d, t);
+  for (int l = 0; l < L; ++l) oecs.emplace_back(d, t, 1);
   for (std::size_t k = 0; k < p.xs.size(); ++k) {
     bool all_done = true;
     for (int l = 0; l < L; ++l) {
       auto& oec = oecs[static_cast<std::size_t>(l)];
-      if (!oec.done()) oec.add_point(p.xs[k], p.ys[k][static_cast<std::size_t>(l)]);
-      all_done = all_done && oec.done();
+      if (!oec.all_done()) feed(oec, p.xs[k], p.ys[k][static_cast<std::size_t>(l)]);
+      all_done = all_done && oec.all_done();
     }
     if (all_done) break;
   }
   Fp acc(0);
   for (int l = 0; l < L; ++l)
-    acc += oecs[static_cast<std::size_t>(l)].result()->constant_term();
+    acc += oecs[static_cast<std::size_t>(l)].result(0)->constant_term();
   return acc;
 }
 
@@ -170,7 +177,7 @@ void BM_OecDecodeStream(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));
   const int t = (n - 1) / 3, d = t;
   auto p = points_on_random_poly(d, n, 8);
-  for (auto _ : state) run_oec_stream<Oec>(n, d, t, p);
+  for (auto _ : state) run_oec_stream(OecBank(d, t, 1), n, t, p);
 }
 BENCHMARK(BM_OecDecodeStream)->Arg(16)->Arg(64);
 
@@ -196,7 +203,7 @@ BENCHMARK(BM_StarFinding)->Arg(7)->Arg(13)->Arg(25);
 
 // The acceptance kernels at n = 64 (ts = d = t = 21): Lagrange
 // interpolation, share opening, and the OEC decode stream, each timed
-// against the frozen scalar seed path from src/rs/reference.hpp.
+// against the frozen scalar seed path from tests/reference/reference.hpp.
 int emit_comparison(const std::string& path) {
   std::vector<bench::JsonMetric> out;
   const int n = 64;
@@ -266,8 +273,9 @@ int emit_comparison(const std::string& path) {
   {  // OEC decode of one share over an n-party stream, t corrupt-first.
     auto p = points_on_random_poly(d, n, 14);
     double seed =
-        bench::time_ns_per_iter([&] { run_oec_stream<ref::Oec>(n, d, t, p); }, 2, 3);
-    double kernel = bench::time_ns_per_iter([&] { run_oec_stream<Oec>(n, d, t, p); }, 10, 3);
+        bench::time_ns_per_iter([&] { run_oec_stream(ref::Oec(d, t), n, t, p); }, 2, 3);
+    double kernel =
+        bench::time_ns_per_iter([&] { run_oec_stream(OecBank(d, t, 1), n, t, p); }, 10, 3);
     push("oec_decode_n64", seed, kernel);
   }
 

@@ -9,10 +9,10 @@
 #include <memory>
 
 #include "bench/bench_util.hpp"
-#include "bench/legacy_vssplanes.hpp"
 #include "src/bcast/bc_bank.hpp"
 #include "src/vss/vss.hpp"
 #include "tests/harness.hpp"
+#include "tests/reference/legacy_vssplanes.hpp"
 
 using namespace bobw;
 
@@ -105,7 +105,8 @@ BigSample run_vss_big(int n, int threads, std::uint64_t seed) {
 /// sharing: the full plane traffic — ok grids, per-child and ΠVSS wef/★₂
 /// broadcasts, ΠBA input bits — through the 4n+4-group schedule plane (one
 /// Acast window, seven SBA schedules) vs every group on its own bank (4n+4
-/// Acast windows and 4n+4 SBA schedules, bench/legacy_vssplanes.hpp).
+/// Acast windows and 4n+4 SBA schedules,
+/// tests/reference/legacy_vssplanes.hpp).
 /// Identical bytes, identical Ctx; the quotient is the schedule-sharing win.
 double run_plane_transport(int n, bool shared, std::uint64_t seed) {
   const int ts = (n - 1) / 3;
@@ -237,8 +238,8 @@ int main(int argc, char** argv) {
   // Schedule-sharing quotient: the SAME all-layers traffic — ok grids,
   // wef/★₂ stars, BA bits — through the 4n+4-group plane (1 Acast window,
   // 7 SBA schedules) vs one independent bank per group (4n+4 of each,
-  // bench/legacy_vssplanes.hpp). Single-threaded, so the floor holds on
-  // 1-core CI hosts too.
+  // tests/reference/legacy_vssplanes.hpp). Single-threaded, so the floor
+  // holds on 1-core CI hosts too.
   const double plane_ms = run_plane_transport(64, /*shared=*/true, 7);
   const double per_group_ms = run_plane_transport(64, /*shared=*/false, 7);
   const double sched_speedup = plane_ms > 0 ? per_group_ms / plane_ms : 0;

@@ -7,12 +7,18 @@
 //   bobw_cli --circuit FILE --inputs a,b,c,... [--mode sync|async]
 //            [--ts K] [--ta K] [--corrupt i,j,...] [--seed S] [--delta D]
 //
+// Exit status: 0 iff the honest parties agree; 1 on a circuit or config
+// error (such as a corrupt id outside [0, n)); 2 with the usage line on a
+// missing, unknown or malformed argument.
+//
 // Try:
 //   ./build/bobw_cli --circuit examples/circuits/quickstart.cir --inputs 3,4,5,6 --corrupt 3
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 #include "src/core/runner.hpp"
 #include "src/mpc/circuit_io.hpp"
@@ -21,12 +27,27 @@ using namespace bobw;
 
 namespace {
 
-std::vector<std::uint64_t> parse_list(const std::string& s) {
-  std::vector<std::uint64_t> out;
+/// Stores the whole of `s` as a decimal T; false on an empty string, a stray
+/// character, a sign T cannot hold, or overflow.
+template <typename T>
+bool set_num(std::string_view s, T& out) {
+  const char* end = s.data() + s.size();
+  auto [ptr, ec] = std::from_chars(s.data(), end, out);
+  return !s.empty() && ec == std::errc() && ptr == end;
+}
+
+/// Comma-separated decimals into `out`; false if any item is malformed.
+template <typename T>
+bool set_list(const char* s, std::vector<T>& out) {
+  out.clear();
   std::stringstream ss(s);
   std::string item;
-  while (std::getline(ss, item, ',')) out.push_back(std::stoull(item));
-  return out;
+  while (std::getline(ss, item, ',')) {
+    T v{};
+    if (!set_num(item, v)) return false;
+    out.push_back(v);
+  }
+  return true;
 }
 
 int usage() {
@@ -39,7 +60,9 @@ int usage() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string circuit_path, inputs_str, mode_str = "sync", corrupt_str;
+  std::string circuit_path, mode_str = "sync";
+  std::vector<std::uint64_t> input_values;
+  std::vector<int> corrupt_ids;
   MpcConfig cfg;
   cfg.ts = -1;  // sentinel: derive defaults from n
   cfg.ta = -1;
@@ -53,20 +76,27 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    bool ok = true;
     if (auto v = arg("--circuit")) circuit_path = v;
-    else if (auto v2 = arg("--inputs")) inputs_str = v2;
-    else if (auto v3 = arg("--mode")) mode_str = v3;
-    else if (auto v4 = arg("--ts")) cfg.ts = std::atoi(v4);
-    else if (auto v5 = arg("--ta")) cfg.ta = std::atoi(v5);
-    else if (auto v6 = arg("--corrupt")) corrupt_str = v6;
-    else if (auto v7 = arg("--seed")) cfg.seed = std::strtoull(v7, nullptr, 10);
-    else if (auto v8 = arg("--delta")) cfg.delta = std::strtoull(v8, nullptr, 10);
+    else if (auto v2 = arg("--inputs")) ok = set_list(v2, input_values);
+    else if (auto v3 = arg("--mode")) {
+      mode_str = v3;
+      ok = mode_str == "sync" || mode_str == "async";
+    } else if (auto v4 = arg("--ts")) ok = set_num(v4, cfg.ts) && cfg.ts >= 0;
+    else if (auto v5 = arg("--ta")) ok = set_num(v5, cfg.ta) && cfg.ta >= 0;
+    else if (auto v6 = arg("--corrupt")) ok = set_list(v6, corrupt_ids);
+    else if (auto v7 = arg("--seed")) ok = set_num(v7, cfg.seed);
+    else if (auto v8 = arg("--delta")) ok = set_num(v8, cfg.delta);
     else {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
       return usage();
     }
+    if (!ok) {
+      std::fprintf(stderr, "bad value for %s: %s\n", argv[i - 1], argv[i]);
+      return usage();
+    }
   }
-  if (circuit_path.empty() || inputs_str.empty()) return usage();
+  if (circuit_path.empty() || input_values.empty()) return usage();
 
   std::ifstream f(circuit_path);
   if (!f) {
@@ -88,13 +118,20 @@ int main(int argc, char** argv) {
   if (cfg.ts < 0) cfg.ts = (cfg.n - 1) / 3;
   if (cfg.ta < 0) cfg.ta = std::min(cfg.ts, std::max(0, cfg.n - 3 * cfg.ts - 1));
   cfg.mode = mode_str == "async" ? NetMode::kAsynchronous : NetMode::kSynchronous;
-  if (!corrupt_str.empty())
-    for (auto c : parse_list(corrupt_str)) cfg.corrupt.insert(static_cast<int>(c));
+  cfg.corrupt.insert(corrupt_ids.begin(), corrupt_ids.end());
 
   std::vector<Fp> inputs;
-  for (auto v : parse_list(inputs_str)) inputs.push_back(Fp(v));
+  for (auto v : input_values) inputs.push_back(Fp(v));
   if (static_cast<int>(inputs.size()) != cfg.n) {
     std::fprintf(stderr, "expected %d inputs, got %zu\n", cfg.n, inputs.size());
+    return 1;
+  }
+
+  MpcResult res;
+  try {
+    res = run_mpc(cir, inputs, cfg);
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "config error: %s\n", e.what());
     return 1;
   }
 
@@ -107,14 +144,6 @@ int main(int argc, char** argv) {
     first = false;
   }
   std::printf("}\n");
-
-  MpcResult res;
-  try {
-    res = run_mpc(cir, inputs, cfg);
-  } catch (const std::invalid_argument& e) {
-    std::fprintf(stderr, "config error: %s\n", e.what());
-    return 1;
-  }
 
   std::printf("input set CS:");
   for (int j : res.input_cs) std::printf(" P%d", j);

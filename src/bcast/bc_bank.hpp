@@ -58,8 +58,9 @@
 // Grid message count drops from O(K·n²) + O(K·n·t) per Δ-window to O(n) per
 // Δ-window: each party sends at most one coalesced Acast batch per window
 // and one SBA vector per round per schedule. The pre-bank per-pair path is
-// frozen in bench/legacy_bcgrid.hpp and the one-bank-per-group VSS wiring in
-// bench/legacy_vssplanes.hpp, for same-binary differentials.
+// frozen in tests/reference/legacy_bcgrid.hpp (over the one-instance Acast
+// and PhaseKing beside it) and the one-bank-per-group VSS wiring in
+// tests/reference/legacy_vssplanes.hpp, for same-binary differentials.
 #pragma once
 
 #include <functional>

@@ -13,6 +13,8 @@ void MpcConfig::validate() const {
   if (3 * ts + ta >= n) throw std::invalid_argument("MpcConfig: need 3*ts + ta < n");
   if (static_cast<int>(corrupt.size()) > (mode == NetMode::kSynchronous ? ts : ta))
     throw std::invalid_argument("MpcConfig: corrupt set exceeds the network's threshold");
+  for (int c : corrupt)
+    if (c < 0 || c >= n) throw std::invalid_argument("MpcConfig: corrupt id outside [0, n)");
 }
 
 bool MpcResult::all_honest_agree(const std::set<int>& corrupt) const {

@@ -48,7 +48,8 @@ struct MpcConfig {
   /// parallel path onto small-n runs.
   std::size_t min_batch = 0;
 
-  /// Validate n > 3ts + ta, ta <= ts; throws std::invalid_argument.
+  /// Validate n > 3ts + ta, ta <= ts, and a corrupt set of ids in [0, n)
+  /// within the network's threshold; throws std::invalid_argument.
   void validate() const;
 };
 

@@ -11,7 +11,8 @@
 // point set's barycentric data once per process, memoising the weight vector
 // per evaluation point. All outputs are bit-identical to the scalar paths
 // (field arithmetic is exact); tests/kernels_test.cpp proves it
-// differentially against the frozen seed reference in src/rs/reference.hpp.
+// differentially against the frozen seed reference in
+// tests/reference/reference.hpp.
 #pragma once
 
 #include <algorithm>

@@ -70,16 +70,16 @@ void OecBank::complete_via_head(int lane) {
 void OecBank::try_decode(std::vector<int>& decoded_now) {
   const int m = points_received();
   if (m < d_ + t_ + 1) return;
-  // Same decision schedule as the single-instance seed OEC (see
-  // src/rs/oec.hpp): with r points beyond the minimum, BW with
+  // Same decision schedule as the single-instance seed OEC (ref::Oec in
+  // tests/reference/reference.hpp): with r points beyond the minimum, BW with
   // e = floor((m - d - 1) / 2) covers every case where errors <= t and
   // m >= d + t + 1 + errors.
   const int e_max = std::min(t_, (m - d_ - 1) / 2);
   // Whenever m <= d + 2t + 1, any degree-<=d polynomial passing the
   // (d+t+1)-agreement test is unique and the single BW attempt at e_max
   // finds exactly it, so the cheap head check plus one attempt is decision-
-  // and output-identical to the seed's descending e-loop (proof in
-  // src/rs/oec.cpp's seed history; differential tests enforce it).
+  // and output-identical to the seed's descending e-loop (ref::Oec;
+  // tests/oec_bank_test.cpp and tests/kernels_test.cpp enforce it).
   const bool unique_regime = m <= d_ + 2 * t_ + 1;
   std::vector<int> pending;
   for (int l = 0; l < L_; ++l)
@@ -147,7 +147,8 @@ void OecBank::try_decode(std::vector<int>& decoded_now) {
 // Pivot columns, the consistency verdict and the extracted solution are
 // bit-identical to running solve_linear per lane (the cross-multiplied rows
 // stay nonzero scalar multiples of their normalised counterparts), so the
-// decoded polynomials match L independent rs_decode calls exactly.
+// decoded polynomials match L independent rs_decode calls exactly (both in
+// tests/reference/scalar_decoder.hpp).
 void OecBank::attempt_bw(int e, std::vector<int>& pending, std::vector<int>& decoded_now) {
   const int m = points_received();
   const int nq = d_ + e + 1;  // Q coefficients

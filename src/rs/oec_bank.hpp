@@ -19,9 +19,10 @@
 //     per pivot per lane.
 //
 // Every lane is decision- and bit-identical to an independent seed-reference
-// OEC (bobw::ref::Oec) fed the same stream; tests/oec_bank_test.cpp proves
-// it differentially under shuffled arrivals, duplicate injection, per-lane
-// error patterns and the m > d+2t+1 out-of-regime corner.
+// OEC (bobw::ref::Oec in tests/reference/reference.hpp) fed the same stream;
+// tests/oec_bank_test.cpp proves it differentially under shuffled arrivals,
+// duplicate injection, per-lane error patterns and the m > d+2t+1
+// out-of-regime corner. A lone OEC is OecBank(d, t, 1).
 #pragma once
 
 #include <optional>

@@ -1,8 +1,9 @@
-// Reed–Solomon decoding via the Berlekamp–Welch algorithm (paper §2.1 cites
-// RS error correction [42] as the engine inside Online Error Correction).
+// Berlekamp–Welch helpers shared by OecBank (src/rs/oec_bank.hpp), the
+// Reed–Solomon error correction inside Online Error Correction (paper §2.1
+// cites RS error correction [42]).
 //
-// Given points (x_k, y_k) of which at most e are corrupted and the rest lie
-// on a degree-<=d polynomial q, recover q provided |points| >= d + 2e + 1.
+// The scalar one-system-per-call decoder (rs_decode, solve_linear,
+// count_agreements) is the reference in tests/reference/scalar_decoder.hpp.
 #pragma once
 
 #include <optional>
@@ -12,25 +13,6 @@
 #include "src/field/poly.hpp"
 
 namespace bobw {
-
-/// Attempt to decode a degree-<=d polynomial from the given points assuming
-/// at most `e` errors. Returns nullopt if no such polynomial exists (or the
-/// linear system is inconsistent). xs must be distinct.
-std::optional<Poly> rs_decode(int d, int e, const std::vector<Fp>& xs,
-                              const std::vector<Fp>& ys);
-
-/// Berlekamp–Welch with caller-supplied power rows: rows[k] must hold
-/// xs[k]^0 .. xs[k]^w for some w >= d + e (see bobw::power_row). Online
-/// callers (OEC) compute each row once per arriving point and reuse it for
-/// every subsequent decode attempt instead of re-deriving the Vandermonde
-/// fragments. Output-identical to rs_decode on the same points.
-std::optional<Poly> rs_decode_prepowered(int d, int e, const std::vector<Fp>& xs,
-                                         const std::vector<Fp>& ys,
-                                         const std::vector<std::vector<Fp>>& rows);
-
-/// Count how many of the points lie on q.
-int count_agreements(const Poly& q, const std::vector<Fp>& xs,
-                     const std::vector<Fp>& ys);
 
 /// Batched agreement counting over caller-supplied power rows: out[c] =
 /// #{k : qs[c](x_k) == (*ys[c])[k]}, evaluated as one shared power-row
@@ -44,21 +26,11 @@ std::vector<int> count_agreements_prepowered(
     const std::vector<const Poly*>& qs, const std::vector<const std::vector<Fp>*>& ys,
     const std::vector<std::vector<Fp>>& rows);
 
-/// Solve A x = b over F_p by Gaussian elimination. A is row-major m x n,
-/// b has length m. Returns any solution, or nullopt if inconsistent.
-/// Pivots are deferred: elimination is cross-multiplied so the only field
-/// inversions are ONE Montgomery batch_inverse over the pivots at
-/// back-substitution time (output-identical to the seed's
-/// normalise-every-pivot elimination, frozen as ref::solve_linear and
-/// checked differentially in tests/kernels_test.cpp).
-std::optional<std::vector<Fp>> solve_linear(std::vector<std::vector<Fp>> A,
-                                            std::vector<Fp> b);
-
 /// Final step of a Berlekamp–Welch attempt at error count e >= 1: `sol`
 /// holds the d+e+1 coefficients of Q followed by the e low coefficients of
 /// the monic error locator E. Returns Q / E if E divides Q exactly and the
-/// quotient has degree <= d, nullopt otherwise. Shared by
-/// rs_decode_prepowered and OecBank's batched eliminator.
+/// quotient has degree <= d, nullopt otherwise. Shared by OecBank's batched
+/// eliminator and the scalar rs_decode_prepowered.
 std::optional<Poly> bw_quotient(int d, int e, const std::vector<Fp>& sol);
 
 }  // namespace bobw

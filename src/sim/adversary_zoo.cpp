@@ -4,43 +4,6 @@
 
 namespace bobw::zoo {
 
-bool ByteGarbler::filter_outgoing(Msg& m, Rng& rng) {
-  if (!m.body.empty() && static_cast<int>(rng.next_below(100)) < percent_) {
-    m.body.mutable_bytes()[rng.next_below(m.body.size())] ^=
-        static_cast<std::uint8_t>(1 + rng.next_below(255));
-  }
-  return true;
-}
-
-bool SelectiveDropper::filter_outgoing(Msg&, Rng& rng) {
-  return static_cast<int>(rng.next_below(100)) >= percent_;
-}
-
-bool Equivocator::filter_outgoing(Msg& m, Rng&) {
-  if (!m.body.empty() && m.to % 2 == 0) m.body.mutable_bytes()[0] ^= 0x01;
-  return true;
-}
-
-std::optional<Tick> Laggard::delay_override(const Msg& m) {
-  if (is_corrupt(m.from)) return lag_;
-  return std::nullopt;
-}
-
-std::optional<Tick> TargetedDelay::delay_override(const Msg& m) {
-  if (m.to == victim_) return lag_;
-  return std::nullopt;
-}
-
-std::optional<Tick> PartitionHeal::delay_override(const Msg& m) {
-  if (m.sent_at >= heal_at_) return std::nullopt;
-  const auto from = static_cast<std::size_t>(m.from), to = static_cast<std::size_t>(m.to);
-  if (from >= side_of_.size() || to >= side_of_.size()) return std::nullopt;
-  if (side_of_[from] == side_of_[to]) return std::nullopt;
-  return heal_at_ - m.sent_at;  // held at the boundary, released on heal
-}
-
-// ---- ZooAdversary ----------------------------------------------------------
-
 ZooAdversary::ZooAdversary(std::map<int, PartyPlan> plans, SchedPlan sched, MobilePlan mobile)
     : plans_(std::move(plans)), sched_(std::move(sched)), mobile_(mobile) {
   int max_party = sched_.victim;

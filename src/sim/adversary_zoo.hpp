@@ -4,15 +4,17 @@
 // of behaviours.
 //
 // Two orthogonal strategy groups compose here:
-//  * per-party behaviours — what a corrupt party does with its own outgoing
-//    traffic (garble, drop, equivocate, lag, stay silent);
-//  * scheduler strategies — what the adversary does with everyone's traffic
-//    through its control of message scheduling (targeted-delay starving one
-//    victim, partition-then-heal). In the synchronous network the model only
+//  * per-party behaviours (`Mal`) — what a corrupt party does with its own
+//    outgoing traffic (garble, drop, equivocate, lag, stay silent);
+//  * scheduler strategies (`SchedPlan`) — what the adversary does with
+//    everyone's traffic through its control of message scheduling
+//    (targeted-delay starving one victim, partition-then-heal). Scheduling
+//    alone is adversarial power in the paper's model, so a plan with an
+//    empty corrupt set is legal. In the synchronous network the model only
 //    permits scheduler delays up to Δ for honest senders; callers (the
 //    scenario generator) are responsible for sampling legal parameters.
 //
-// `ZooAdversary` is the composite the fuzzer drives: one plan per corrupt
+// `ZooAdversary` is the one class that runs them: one plan per corrupt
 // party, an optional scheduler strategy, and an optional mobile-corruption
 // schedule that rotates the actively-misbehaving window across the corrupt
 // union per epoch (threshold accounting stays against the union — see
@@ -25,84 +27,6 @@
 #include "src/sim/adversary.hpp"
 
 namespace bobw::zoo {
-
-/// Flips one random byte in `percent`% of outgoing messages.
-class ByteGarbler : public Adversary {
- public:
-  explicit ByteGarbler(int percent) : percent_(percent) {}
-  bool participates(int) const override { return true; }
-  bool filter_outgoing(Msg& m, Rng& rng) override;
-
- private:
-  int percent_;
-};
-
-/// Drops `percent`% of outgoing messages (selective silence).
-class SelectiveDropper : public Adversary {
- public:
-  explicit SelectiveDropper(int percent) : percent_(percent) {}
-  bool participates(int) const override { return true; }
-  bool filter_outgoing(Msg&, Rng& rng) override;
-
- private:
-  int percent_;
-};
-
-/// Sends different payloads to different recipients (generic equivocation):
-/// flips the low bit of the first byte for even-numbered recipients.
-class Equivocator : public Adversary {
- public:
-  bool participates(int) const override { return true; }
-  bool filter_outgoing(Msg& m, Rng&) override;
-};
-
-/// Maximal delay on every message from corrupt parties (slow-but-not-silent;
-/// indistinguishable from honest-but-slow in the async model).
-class Laggard : public Adversary {
- public:
-  explicit Laggard(Tick lag) : lag_(lag) {}
-  bool participates(int) const override { return true; }
-  std::optional<Tick> delay_override(const Msg& m) override;
-
- private:
-  Tick lag_;
-};
-
-/// Targeted-delay scheduler: starves one victim party by pinning every
-/// message addressed to it at `lag`. With lag = Δ this is the worst *legal*
-/// synchronous schedule (starve the victim to the Δ boundary); larger lags
-/// model the asynchronous scheduler (or a sync network whose bound fails for
-/// one party — the fallback-path trigger). Works with an empty corrupt set:
-/// scheduling alone is adversarial power in the paper's model.
-class TargetedDelay : public Adversary {
- public:
-  TargetedDelay(int victim, Tick lag) : victim_(victim), lag_(lag) {}
-  std::optional<Tick> delay_override(const Msg& m) override;
-
- private:
-  int victim_;
-  Tick lag_;
-};
-
-/// Partition-then-heal scheduler: messages crossing the partition before the
-/// heal tick are held and delivered at `heal_at` (+1 tick per the queue's
-/// strictly-later rule when already due); traffic inside either side flows
-/// normally, and after the heal the network is whole again. Only legal in
-/// the asynchronous model (a synchronous adversary may not hold honest
-/// traffic past Δ).
-class PartitionHeal : public Adversary {
- public:
-  /// `side_of[i]` ∈ {0, 1}: which side party i is on.
-  PartitionHeal(std::vector<std::uint8_t> side_of, Tick heal_at)
-      : side_of_(std::move(side_of)), heal_at_(heal_at) {}
-  std::optional<Tick> delay_override(const Msg& m) override;
-
- private:
-  std::vector<std::uint8_t> side_of_;
-  Tick heal_at_;
-};
-
-// ---- the fuzzer's composite ------------------------------------------------
 
 /// What a corrupt party does with its own traffic while active.
 enum class Mal : std::uint8_t {
@@ -121,6 +45,13 @@ struct PartyPlan {
 };
 
 /// Scheduler-level strategy (applies to all traffic, honest included).
+///  * Targeted delay: every message addressed to `victim` takes
+///    `victim_lag`. With lag = Δ this is the worst legal synchronous
+///    schedule; larger lags model the asynchronous scheduler.
+///  * Partition-then-heal: a message crossing the partition before
+///    `heal_at` is held until `heal_at`; traffic inside either side flows
+///    normally. Only legal in the asynchronous model.
+/// A message that several strategies touch takes the largest delay.
 struct SchedPlan {
   int victim = -1;      // targeted-delay victim (-1: none)
   Tick victim_lag = 0;  // delay for traffic addressed to the victim

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
-#include "src/bcast/acast.hpp"
 #include "tests/harness.hpp"
+#include "tests/reference/acast.hpp"
 
 namespace bobw {
 namespace {

@@ -4,10 +4,10 @@
 #include <gtest/gtest.h>
 
 #include "src/acs/acs.hpp"
-#include "src/bcast/phase_king.hpp"
 #include "src/mpc/beaver.hpp"
 #include "src/vss/wps.hpp"
 #include "tests/harness.hpp"
+#include "tests/reference/phase_king.hpp"
 
 namespace bobw {
 namespace {

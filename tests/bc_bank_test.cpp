@@ -5,20 +5,20 @@
 // bank's Δ-boundary flushes land on exactly the ticks where the per-pair
 // path generated its traffic and the delay is the constant Δ (no RNG draw),
 // so a BcBank run must match K independent per-pair Bc instances
-// (bench/legacy_bcgrid.hpp — the frozen pre-bank composition) EXACTLY:
-// per-slot regular outputs, regular decision ticks, fallback switches and
-// final outputs, under honest, crash, Byzantine-sender and staggered-start
-// scenarios. In the asynchronous network the delay-RNG streams diverge by
-// construction (fewer messages), so the differential drops to the protocol
-// guarantees both planes must satisfy: weak validity per slot and identical
-// final values for honest senders.
+// (tests/reference/legacy_bcgrid.hpp — the frozen pre-bank composition)
+// EXACTLY: per-slot regular outputs, regular decision ticks, fallback
+// switches and final outputs, under honest, crash, Byzantine-sender and
+// staggered-start scenarios. In the asynchronous network the delay-RNG
+// streams diverge by construction (fewer messages), so the differential
+// drops to the protocol guarantees both planes must satisfy: weak validity
+// per slot and identical final values for honest senders.
 #include <gtest/gtest.h>
 
-#include "bench/legacy_bcgrid.hpp"
-#include "bench/legacy_vssplanes.hpp"
 #include "src/bcast/bc_bank.hpp"
 #include "src/sim/adversary_zoo.hpp"
 #include "tests/harness.hpp"
+#include "tests/reference/legacy_bcgrid.hpp"
+#include "tests/reference/legacy_vssplanes.hpp"
 
 namespace bobw {
 namespace {
@@ -597,6 +597,22 @@ TEST(BcBank, K1WrapperMatchesPerPairBcExactly) {
 // fallback switches the skew provokes. Protocol guarantees are NOT asserted
 // here; only plane equivalence.
 
+/// Zoo scheduler plans with an empty corrupt set: every message to `victim`
+/// pinned at `lag`, or cross-partition traffic held until `heal_at`.
+std::shared_ptr<Adversary> targeted_delay(int victim, Tick lag) {
+  zoo::SchedPlan sched;
+  sched.victim = victim;
+  sched.victim_lag = lag;
+  return std::make_shared<zoo::ZooAdversary>(std::map<int, zoo::PartyPlan>{}, sched);
+}
+
+std::shared_ptr<Adversary> partition_heal(std::vector<std::uint8_t> side_of, Tick heal_at) {
+  zoo::SchedPlan sched;
+  sched.side_of = std::move(side_of);
+  sched.heal_at = heal_at;
+  return std::make_shared<zoo::ZooAdversary>(std::map<int, zoo::PartyPlan>{}, sched);
+}
+
 void run_zoo_differential(std::shared_ptr<Adversary> bank_adv,
                           std::shared_ptr<Adversary> grid_adv, const char* tag) {
   const int n = 4, ts = 1, K = n * n;
@@ -628,15 +644,14 @@ void run_zoo_differential(std::shared_ptr<Adversary> bank_adv,
 
 TEST(BcBank, TargetedDelayExactlyMatchesPerPairGrid) {
   // Victim starved at 3Δ — every message to P2 lands two rounds late.
-  run_zoo_differential(std::make_shared<zoo::TargetedDelay>(2, 3000),
-                       std::make_shared<zoo::TargetedDelay>(2, 3000), "targeted-delay");
+  run_zoo_differential(targeted_delay(2, 3000), targeted_delay(2, 3000), "targeted-delay");
 }
 
 TEST(BcBank, PartitionThenHealExactlyMatchesPerPairGrid) {
   // {0,1} | {2,3} for the first 6Δ, then whole again.
   const std::vector<std::uint8_t> sides{0, 0, 1, 1};
-  run_zoo_differential(std::make_shared<zoo::PartitionHeal>(sides, 6000),
-                       std::make_shared<zoo::PartitionHeal>(sides, 6000), "partition-heal");
+  run_zoo_differential(partition_heal(sides, 6000), partition_heal(sides, 6000),
+                       "partition-heal");
 }
 
 // ---- schedule plane vs fully independent banks ----------------------------
@@ -645,11 +660,11 @@ TEST(BcBank, PartitionThenHealExactlyMatchesPerPairGrid) {
 // sharing_plane_groups — the exact layout src/vss/vss.cpp builds): the n
 // child-ΠWPS ok grids and the dealer ok grid, per-child and ΠVSS wef/★₂
 // broadcasts, and the ΠBA input bits. The plane rides one Acast window and
-// seven SBA schedules; the frozen reference (bench/legacy_vssplanes.hpp)
-// puts every group on its own bank — 4n+4 of each. The differential drives
-// identical traffic across all layers through both wirings and demands
-// per-(group, slot) records tick-for-tick identical: regular outputs,
-// decision ticks, fallback switches, finals.
+// seven SBA schedules; the frozen reference
+// (tests/reference/legacy_vssplanes.hpp) puts every group on its own bank —
+// 4n+4 of each. The differential drives identical traffic across all layers
+// through both wirings and demands per-(group, slot) records tick-for-tick
+// identical: regular outputs, decision ticks, fallback switches, finals.
 
 Tick vss_child_start(const Ctx& ctx, Tick base) { return base + 3 * ctx.delta; }
 Tick vss_dealer_start(const Ctx& ctx, Tick base) { return base + ctx.delta + ctx.T.t_wps; }
@@ -967,11 +982,11 @@ TEST(VssSchedulePlane, ByzantineEquivocatorExactMatch) {
 }
 
 TEST(VssSchedulePlane, ZooSchedulersExactMatch) {
-  run_plane_differential(std::make_shared<zoo::TargetedDelay>(2, 3000),
-                         std::make_shared<zoo::TargetedDelay>(2, 3000), "plane-targeted-delay");
+  run_plane_differential(targeted_delay(2, 3000), targeted_delay(2, 3000),
+                         "plane-targeted-delay");
   const std::vector<std::uint8_t> sides{0, 0, 1, 1};
-  run_plane_differential(std::make_shared<zoo::PartitionHeal>(sides, 6000),
-                         std::make_shared<zoo::PartitionHeal>(sides, 6000), "plane-partition");
+  run_plane_differential(partition_heal(sides, 6000), partition_heal(sides, 6000),
+                         "plane-partition");
 }
 
 }  // namespace

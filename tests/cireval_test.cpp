@@ -203,6 +203,12 @@ TEST(CirEval, ConfigValidation) {
   MpcConfig cfg3;
   cfg3.corrupt = {0, 1};  // exceeds ts=1
   EXPECT_THROW(run_mpc(cir, {Fp(0), Fp(0), Fp(0), Fp(0)}, cfg3), std::invalid_argument);
+  for (int bad : {4, -1}) {  // within the threshold, but no such party
+    MpcConfig cfg4;
+    cfg4.corrupt = {bad};
+    EXPECT_THROW(run_mpc(cir, {Fp(0), Fp(0), Fp(0), Fp(0)}, cfg4), std::invalid_argument)
+        << "corrupt id " << bad;
+  }
 }
 
 TEST(CirEval, MultiOutputCircuits) {

@@ -37,46 +37,47 @@ void expect_invariants(std::shared_ptr<Adversary> adv, NetMode mode, std::uint64
 }
 
 // The generic attack strategies (garble/drop/equivocate/lag/targeted-delay)
-// live in src/sim/adversary_zoo.hpp — shared with the scenario fuzzer; this
-// suite drives them against the full MPC stack and keeps only the
-// protocol-aware adversaries (ReadyLiar, NokSpammer) local.
+// are ZooAdversary plans from src/sim/adversary_zoo.hpp — shared with the
+// scenario fuzzer; this suite drives them against the full MPC stack and
+// keeps only the protocol-aware adversaries (ReadyLiar, NokSpammer) local.
+
+/// A ZooAdversary whose one corrupt party runs `plan`.
+std::shared_ptr<Adversary> zoo_party(int party, zoo::PartyPlan plan) {
+  return std::make_shared<zoo::ZooAdversary>(std::map<int, zoo::PartyPlan>{{party, plan}});
+}
 
 TEST(FaultInjection, RandomByteGarblingSync) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    auto adv = std::make_shared<zoo::ByteGarbler>(50);
-    adv->corrupt(2);
+    auto adv = zoo_party(2, {zoo::Mal::kGarble, 50, 0});
     expect_invariants(adv, NetMode::kSynchronous, seed);
   }
 }
 
 TEST(FaultInjection, RandomByteGarblingAsync) {
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-    auto adv = std::make_shared<zoo::ByteGarbler>(50);
-    adv->corrupt(1);
+    auto adv = zoo_party(1, {zoo::Mal::kGarble, 50, 0});
     expect_invariants(adv, NetMode::kAsynchronous, seed, 5, 1, 1);
   }
 }
 
 TEST(FaultInjection, SelectiveMessageDropping) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    auto adv = std::make_shared<zoo::SelectiveDropper>(60);
-    adv->corrupt(3);
+    auto adv = zoo_party(3, {zoo::Mal::kDrop, 60, 0});
     expect_invariants(adv, NetMode::kSynchronous, seed);
   }
 }
 
 TEST(FaultInjection, GenericEquivocation) {
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    auto adv = std::make_shared<zoo::Equivocator>();
-    adv->corrupt(0);  // the lowest id takes many dealer/king/sender roles
+    // The lowest id takes many dealer/king/sender roles.
+    auto adv = zoo_party(0, {zoo::Mal::kEquivocate, 50, 0});
     expect_invariants(adv, NetMode::kSynchronous, seed);
   }
 }
 
 TEST(FaultInjection, LaggardPartyAsync) {
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-    auto adv = std::make_shared<zoo::Laggard>(50'000);
-    adv->corrupt(2);
+    auto adv = zoo_party(2, {zoo::Mal::kLag, 50, 50'000});
     expect_invariants(adv, NetMode::kAsynchronous, seed, 5, 1, 1);
   }
 }
@@ -85,7 +86,10 @@ TEST(FaultInjection, StarvedHonestVictimAsync) {
   // No corrupt party at all — only adversarial scheduling. Everybody (the
   // victim included) must still terminate with the right output.
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-    auto adv = std::make_shared<zoo::TargetedDelay>(1, 30'000);
+    zoo::SchedPlan sched;
+    sched.victim = 1;
+    sched.victim_lag = 30'000;
+    auto adv = std::make_shared<zoo::ZooAdversary>(std::map<int, zoo::PartyPlan>{}, sched);
     expect_invariants(adv, NetMode::kAsynchronous, seed, 5, 1, 1);
   }
 }

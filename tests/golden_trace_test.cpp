@@ -6,10 +6,10 @@
 // into shared coalesced Acast batches and one SBA vector per round), and the
 // VSS schedule plane collapses further (every broadcast/BA layer of a
 // sharing rides one bank: one Acast window, seven SBA schedules —
-// bench/legacy_vssplanes.hpp keeps the one-bank-per-group reference), so
-// the communication/event counts below are re-pinned on the full schedule
-// plane. What must NOT move versus the frozen
-// per-pair path (bench/legacy_bcgrid.hpp, captured by the PR 4 pins):
+// tests/reference/legacy_vssplanes.hpp keeps the one-bank-per-group
+// reference), so the communication/event counts below are re-pinned on the
+// full schedule plane. What must NOT move versus the frozen per-pair path
+// (tests/reference/legacy_bcgrid.hpp, captured by the PR 4 pins):
 //   * every party's output and input_cs, in every scenario;
 //   * synchronous finish times and end time — the bank flushes at exactly
 //     the Δ-boundaries where the per-pair path generated its traffic, so the

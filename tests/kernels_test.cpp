@@ -1,17 +1,20 @@
 // Differential tests: the batched field kernels (src/field/kernels.hpp) and
-// the incremental OEC must be bit-identical to the frozen scalar seed paths
-// (src/rs/reference.hpp) across random inputs — same decisions at the same
-// arrivals, same polynomials, same weights, same inverses.
+// the incremental OEC (a one-lane OecBank) must be bit-identical to the
+// frozen scalar seed paths (tests/reference/reference.hpp) across random
+// inputs — same decisions at the same arrivals, same polynomials, same
+// weights, same inverses.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <numeric>
 
 #include "src/field/bivariate.hpp"
 #include "src/field/kernels.hpp"
 #include "src/field/poly.hpp"
-#include "src/rs/oec.hpp"
-#include "src/rs/reference.hpp"
+#include "src/rs/oec_bank.hpp"
+#include "tests/reference/reference.hpp"
+#include "tests/reference/scalar_decoder.hpp"
 
 namespace bobw {
 namespace {
@@ -237,32 +240,32 @@ TEST(OecDiff, MatchesScalarSeedOnRandomStreams) {
     std::iota(order.begin(), order.end(), 0);
     for (std::size_t i = order.size(); i > 1; --i)
       std::swap(order[i - 1], order[static_cast<std::size_t>(rng.next_below(i))]);
-    Oec fast(d, t);
+    OecBank fast(d, t, 1);
     ref::Oec slow(d, t);
     for (int idx = 0; idx < total; ++idx) {
       const int k = order[static_cast<std::size_t>(idx)];
       Fp y = q.eval(alpha(k));
       if (k < errors) y += Fp(1) + Fp::random(rng);
-      auto got = fast.add_point(alpha(k), y);
+      auto got = fast.add_point(alpha(k), std::array{y});
       auto expect = slow.add_point(alpha(k), y);
-      ASSERT_EQ(got.decoded.has_value(), expect.has_value())
+      ASSERT_EQ(!got.decoded.empty(), expect.has_value())
           << "seed=" << seed << " arrival=" << idx;
-      if (got.decoded) {
-        EXPECT_EQ(*got.decoded, *expect);
+      if (!got.decoded.empty()) {
+        EXPECT_EQ(*fast.result(0), *expect);
       }
-      EXPECT_EQ(fast.done(), slow.done());
+      EXPECT_EQ(fast.done(0), slow.done());
       if (idx == total / 2) {
         // Duplicate mid-stream: the seed silently swallows it, the new API
         // names it — but both must leave the decode state untouched.
-        auto dup = fast.add_point(alpha(k), y + Fp(1));
+        auto dup = fast.add_point(alpha(k), std::array{y + Fp(1)});
         EXPECT_FALSE(slow.add_point(alpha(k), y + Fp(1)).has_value());
         EXPECT_EQ(dup.status,
-                  fast.done() ? Oec::Add::kAlreadyDecoded : Oec::Add::kDuplicateX);
+                  fast.done(0) ? OecStatus::kAlreadyDecoded : OecStatus::kDuplicateX);
         EXPECT_EQ(fast.points_received(), slow.points_received());
       }
     }
-    ASSERT_TRUE(fast.done()) << "seed=" << seed;
-    EXPECT_EQ(*fast.result(), q) << "seed=" << seed;
+    ASSERT_TRUE(fast.done(0)) << "seed=" << seed;
+    EXPECT_EQ(*fast.result(0), q) << "seed=" << seed;
     EXPECT_EQ(*slow.result(), q) << "seed=" << seed;
   }
 }
@@ -273,18 +276,18 @@ TEST(OecDiff, MatchesScalarSeedAtProtocolScale) {
   Rng rng(2006);
   const int n = 64, t = (n - 1) / 3, d = t;
   Poly q = Poly::random(d, rng);
-  Oec fast(d, t);
+  OecBank fast(d, t, 1);
   ref::Oec slow(d, t);
   for (int k = 0; k < n; ++k) {
     Fp y = q.eval(alpha(k));
     if (k < t) y += Fp(1) + Fp::random(rng);
-    auto got = fast.add_point(alpha(k), y);
+    auto got = fast.add_point(alpha(k), std::array{y});
     auto expect = slow.add_point(alpha(k), y);
-    ASSERT_EQ(got.decoded.has_value(), expect.has_value()) << "arrival " << k;
-    if (fast.done() && slow.done()) break;
+    ASSERT_EQ(!got.decoded.empty(), expect.has_value()) << "arrival " << k;
+    if (fast.done(0) && slow.done()) break;
   }
-  ASSERT_TRUE(fast.done());
-  EXPECT_EQ(*fast.result(), q);
+  ASSERT_TRUE(fast.done(0));
+  EXPECT_EQ(*fast.result(0), q);
 }
 
 }  // namespace

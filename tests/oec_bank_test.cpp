@@ -13,7 +13,8 @@
 #include "src/field/poly.hpp"
 #include "src/rs/oec_bank.hpp"
 #include "src/rs/reed_solomon.hpp"
-#include "src/rs/reference.hpp"
+#include "tests/reference/reference.hpp"
+#include "tests/reference/scalar_decoder.hpp"
 
 namespace bobw {
 namespace {

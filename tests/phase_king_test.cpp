@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include "src/bcast/phase_king.hpp"
 #include "src/common/codec.hpp"
 #include "tests/harness.hpp"
+#include "tests/reference/phase_king.hpp"
 
 namespace bobw {
 namespace {

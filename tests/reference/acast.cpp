@@ -1,4 +1,4 @@
-#include "src/bcast/acast.hpp"
+#include "tests/reference/acast.hpp"
 
 namespace bobw {
 

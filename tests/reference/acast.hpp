@@ -4,6 +4,9 @@
 // matching ECHOes (or t+1 matching READYs) a party sends READY(m); on 2t+1
 // matching READYs it outputs m. Tolerates t < n/3, provides validity and
 // consistency in any network, liveness for an honest S (Lemma 2.4).
+//
+// Reference only: run_mpc broadcasts through BcBank (src/bcast/bc_bank.hpp),
+// whose per-slot Acast logic must match this one-instance protocol.
 #pragma once
 
 #include <functional>

@@ -9,7 +9,7 @@
 // n² of these is the seed's ok-verdict ΠBC grid: every instance pays its own
 // O(n²) echo/ready traffic and its own 3(t+1)-round send_all schedule.
 // Do not "fix" or de-duplicate anything here; it exists to stay costly the
-// old way (it still reuses src/bcast/acast.hpp and phase_king.hpp, whose
+// old way (it still reuses tests/reference/acast.hpp and phase_king.hpp, whose
 // per-slot decision logic the bank must preserve bit-for-bit).
 #pragma once
 
@@ -17,9 +17,9 @@
 #include <memory>
 #include <optional>
 
-#include "src/bcast/acast.hpp"
-#include "src/bcast/phase_king.hpp"
 #include "src/core/timing.hpp"
+#include "tests/reference/acast.hpp"
+#include "tests/reference/phase_king.hpp"
 
 namespace bobw::legacybc {
 

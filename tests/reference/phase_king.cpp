@@ -1,4 +1,4 @@
-#include "src/bcast/phase_king.hpp"
+#include "tests/reference/phase_king.hpp"
 
 #include "src/common/codec.hpp"
 

@@ -14,6 +14,9 @@
 //  round C: king sends KING(v); parties that did not lock adopt it.
 //
 // ⊥ is encoded as the empty byte string.
+//
+// Reference only: run_mpc runs its SBAs through BcBank's SbaBank
+// (src/bcast/bc_bank.hpp), whose per-slot decisions must match this one.
 #pragma once
 
 #include <functional>

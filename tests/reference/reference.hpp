@@ -13,7 +13,7 @@
 
 #include "src/field/fp.hpp"
 #include "src/field/poly.hpp"
-#include "src/rs/reed_solomon.hpp"
+#include "tests/reference/scalar_decoder.hpp"
 
 namespace bobw::ref {
 
@@ -60,9 +60,9 @@ inline Fp lagrange_eval(const std::vector<Fp>& xs, const std::vector<Fp>& ys, Fp
 }
 
 /// Seed solve_linear: Gauss–Jordan with one Fermat inversion per pivot
-/// (normalise-immediately). The deferred-pivot production routine in
-/// src/rs/reed_solomon.cpp must return exactly this solution (or exactly
-/// nullopt) on every input, singular or not.
+/// (normalise-immediately). The deferred-pivot bobw::solve_linear in
+/// tests/reference/scalar_decoder.cpp must return exactly this solution (or
+/// exactly nullopt) on every input, singular or not.
 inline std::optional<std::vector<Fp>> solve_linear(std::vector<std::vector<Fp>> A,
                                                    std::vector<Fp> b) {
   const std::size_t m = A.size();

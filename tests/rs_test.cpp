@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "src/field/poly.hpp"
-#include "src/rs/oec.hpp"
-#include "src/rs/reed_solomon.hpp"
+#include "src/rs/oec_bank.hpp"
+#include "tests/reference/scalar_decoder.hpp"
 
 namespace bobw {
 namespace {
@@ -94,40 +96,42 @@ TEST(Oec, RecoversAtMinimumHonestPoints) {
   Rng rng(77);
   const int d = 2, t = 2;
   Poly q = Poly::random(d, rng);
-  Oec oec(d, t);
+  OecBank oec(d, t, 1);
   // Feed d+t = 4 honest points: accepted, but decode still pending.
   for (int k = 0; k < d + t; ++k) {
-    auto out = oec.add_point(alpha(k), q.eval(alpha(k)));
-    EXPECT_EQ(out.status, Oec::Add::kAccepted);
-    EXPECT_FALSE(out.decoded);
-    EXPECT_FALSE(oec.done());
+    auto out = oec.add_point(alpha(k), std::array{q.eval(alpha(k))});
+    EXPECT_EQ(out.status, OecStatus::kAccepted);
+    EXPECT_TRUE(out.decoded.empty());
+    EXPECT_FALSE(oec.done(0));
   }
   // The (d+t+1)-th honest point completes recovery.
-  auto out = oec.add_point(alpha(d + t), q.eval(alpha(d + t)));
-  EXPECT_EQ(out.status, Oec::Add::kAccepted);
-  ASSERT_TRUE(out.decoded);
-  EXPECT_EQ(*out.decoded, q);
-  EXPECT_TRUE(oec.done());
+  auto out = oec.add_point(alpha(d + t), std::array{q.eval(alpha(d + t))});
+  EXPECT_EQ(out.status, OecStatus::kAccepted);
+  ASSERT_FALSE(out.decoded.empty());
+  EXPECT_EQ(*oec.result(0), q);
+  EXPECT_TRUE(oec.done(0));
 }
 
 TEST(Oec, ToleratesEarlyCorruptPoints) {
   Rng rng(78);
   const int d = 3, t = 3;
   Poly q = Poly::random(d, rng);
-  Oec oec(d, t);
+  OecBank oec(d, t, 1);
   // t corrupt points arrive first — accepted (they cannot be recognised as
   // corrupt yet), decode pending.
   for (int k = 0; k < t; ++k) {
-    auto out = oec.add_point(alpha(k), q.eval(alpha(k)) + Fp(9));
-    EXPECT_EQ(out.status, Oec::Add::kAccepted);
-    EXPECT_FALSE(out.decoded);
+    auto out = oec.add_point(alpha(k), std::array{q.eval(alpha(k)) + Fp(9)});
+    EXPECT_EQ(out.status, OecStatus::kAccepted);
+    EXPECT_TRUE(out.decoded.empty());
   }
   // Then honest points trickle in; recovery must happen once d+t+1 honest
   // points are present (total d+2t+1).
   std::optional<Poly> rec;
   for (int k = t; k < d + 2 * t + 1; ++k) {
-    rec = oec.add_point(alpha(k), q.eval(alpha(k))).decoded;
-    if (rec) break;
+    if (!oec.add_point(alpha(k), std::array{q.eval(alpha(k))}).decoded.empty()) {
+      rec = oec.result(0);
+      break;
+    }
   }
   ASSERT_TRUE(rec);
   EXPECT_EQ(*rec, q);
@@ -137,34 +141,34 @@ TEST(Oec, ReportsDuplicateContributors) {
   Rng rng(79);
   const int d = 1, t = 1;
   Poly q = Poly::random(d, rng);
-  Oec oec(d, t);
-  EXPECT_EQ(oec.add_point(alpha(0), q.eval(alpha(0))).status, Oec::Add::kAccepted);
+  OecBank oec(d, t, 1);
+  EXPECT_EQ(oec.add_point(alpha(0), std::array{q.eval(alpha(0))}).status, OecStatus::kAccepted);
   // Same x again (conflicting value): explicitly rejected as a duplicate —
   // distinguishable from an accepted-but-pending contribution — and must
   // not influence the decode.
-  auto dup = oec.add_point(alpha(0), q.eval(alpha(0)) + Fp(4));
-  EXPECT_EQ(dup.status, Oec::Add::kDuplicateX);
-  EXPECT_FALSE(dup.decoded);
+  auto dup = oec.add_point(alpha(0), std::array{q.eval(alpha(0)) + Fp(4)});
+  EXPECT_EQ(dup.status, OecStatus::kDuplicateX);
+  EXPECT_TRUE(dup.decoded.empty());
   EXPECT_EQ(oec.points_received(), 1);
-  EXPECT_EQ(oec.add_point(alpha(1), q.eval(alpha(1))).status, Oec::Add::kAccepted);
-  auto rec = oec.add_point(alpha(2), q.eval(alpha(2)));
-  EXPECT_EQ(rec.status, Oec::Add::kAccepted);
-  ASSERT_TRUE(rec.decoded);
-  EXPECT_EQ(*rec.decoded, q);
+  EXPECT_EQ(oec.add_point(alpha(1), std::array{q.eval(alpha(1))}).status, OecStatus::kAccepted);
+  auto rec = oec.add_point(alpha(2), std::array{q.eval(alpha(2))});
+  EXPECT_EQ(rec.status, OecStatus::kAccepted);
+  ASSERT_FALSE(rec.decoded.empty());
+  EXPECT_EQ(*oec.result(0), q);
 }
 
 TEST(Oec, ReportsPointsAfterDecodeAsRejected) {
   Rng rng(80);
   const int d = 1, t = 1;
   Poly q = Poly::random(d, rng);
-  Oec oec(d, t);
-  for (int k = 0; k < d + t + 1; ++k) oec.add_point(alpha(k), q.eval(alpha(k)));
-  ASSERT_TRUE(oec.done());
+  OecBank oec(d, t, 1);
+  for (int k = 0; k < d + t + 1; ++k) oec.add_point(alpha(k), std::array{q.eval(alpha(k))});
+  ASSERT_TRUE(oec.done(0));
   // A late (even honest) point is rejected with an explicit status, not
   // silently conflated with "decode pending".
-  auto late = oec.add_point(alpha(d + t + 1), q.eval(alpha(d + t + 1)));
-  EXPECT_EQ(late.status, Oec::Add::kAlreadyDecoded);
-  EXPECT_FALSE(late.decoded);
+  auto late = oec.add_point(alpha(d + t + 1), std::array{q.eval(alpha(d + t + 1))});
+  EXPECT_EQ(late.status, OecStatus::kAlreadyDecoded);
+  EXPECT_TRUE(late.decoded.empty());
   EXPECT_EQ(oec.points_received(), d + t + 1);
 }
 
@@ -174,14 +178,14 @@ TEST(Oec, NeverReturnsWrongPolynomialUnderMaxCorruption) {
     Rng rng(900 + seed);
     const int d = 2, t = 2;
     Poly q = Poly::random(d, rng);
-    Oec oec(d, t);
+    OecBank oec(d, t, 1);
     std::optional<Poly> rec;
     // Interleave: corrupt points at random positions among d+2t+1 total.
     for (int k = 0; k < d + 2 * t + 1 && !rec; ++k) {
       bool corrupt = k < t;
       Fp y = q.eval(alpha(k));
       if (corrupt) y += Fp::random(rng);
-      rec = oec.add_point(alpha(k), y).decoded;
+      if (!oec.add_point(alpha(k), std::array{y}).decoded.empty()) rec = oec.result(0);
     }
     ASSERT_TRUE(rec) << "seed " << seed;
     EXPECT_EQ(*rec, q) << "seed " << seed;

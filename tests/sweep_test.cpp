@@ -2,10 +2,12 @@
 // broad coverage at small per-case cost.
 #include <gtest/gtest.h>
 
+#include <array>
+
 #include "src/ba/aba.hpp"
 #include "src/bcast/bc_bank.hpp"
 #include "src/mpc/sharing.hpp"
-#include "src/rs/oec.hpp"
+#include "src/rs/oec_bank.hpp"
 #include "src/vss/vss.hpp"
 #include "tests/harness.hpp"
 
@@ -22,7 +24,7 @@ TEST_P(OecGrid, RecoversWithErrorsAnywhere) {
   auto [d, t, err_offset] = GetParam();
   Rng rng(static_cast<std::uint64_t>(d * 100 + t * 10 + err_offset));
   Poly q = Poly::random(d, rng);
-  Oec oec(d, t);
+  OecBank oec(d, t, 1);
   const int total = d + 2 * t + 1;
   std::optional<Poly> rec;
   int fed = 0;
@@ -31,9 +33,9 @@ TEST_P(OecGrid, RecoversWithErrorsAnywhere) {
     const bool corrupt = k >= err_offset && k < err_offset + t;
     Fp y = q.eval(alpha(k));
     if (corrupt) y += Fp(1) + Fp::random(rng);
-    auto out = oec.add_point(alpha(k), y);
-    EXPECT_EQ(out.status, Oec::Add::kAccepted);
-    rec = out.decoded;
+    auto out = oec.add_point(alpha(k), std::array{y});
+    EXPECT_EQ(out.status, OecStatus::kAccepted);
+    if (!out.decoded.empty()) rec = oec.result(0);
     ++fed;
   }
   ASSERT_TRUE(rec);

@@ -248,9 +248,9 @@ TEST(Vss, OneSchedulePlanePerSharing) {
   // sharing — the (n+1)·n² ok grids, the n+1 wef and ★₂ broadcasts, the
   // (n+1)·n ΠBA input bits — rides ONE shared Acast state and exactly SEVEN
   // SBA schedules (one per distinct layer start time, independent of n).
-  // One independent bank per group (bench/legacy_vssplanes.hpp) would
-  // register 4n+4 of each. Only the per-child ΠABAs remain outside the
-  // plane.
+  // One independent bank per group (tests/reference/legacy_vssplanes.hpp)
+  // would register 4n+4 of each. Only the per-child ΠABAs remain outside
+  // the plane.
   const int n = 4, ts = 1, ta = 0, L = 1;
   auto w = make_world(n, ts, ta, NetMode::kSynchronous);
   VssRun run(w, 0, L, 0);
