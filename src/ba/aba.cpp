@@ -26,7 +26,11 @@ bool dec(const Bytes& body, int& r, bool& b) {
 }  // namespace
 
 Aba::Aba(Party& party, std::string id, int t, CoinSource& coin, Handler on_decide)
-    : Instance(party, std::move(id)), t_(t), coin_(coin), on_decide_(std::move(on_decide)) {}
+    : Instance(party, std::move(id)),
+      t_(t),
+      coin_(coin),
+      on_decide_(std::move(on_decide)),
+      decided_senders_{PartySet(party.n()), PartySet(party.n())} {}
 
 void Aba::start(bool input) {
   if (started_ || halted_) return;
@@ -57,8 +61,9 @@ void Aba::on_message(const Msg& m) {
   switch (m.type) {
     case kEst: {
       Round& rr = round(r);
-      if (!rr.est_senders[b ? 1 : 0].insert(m.from).second) return;
-      const int c = static_cast<int>(rr.est_senders[b ? 1 : 0].size());
+      PartySet& s = rr.est_senders[b ? 1 : 0];
+      if (!s.insert(m.from)) return;
+      const int c = s.count();
       if (c >= t_ + 1 && started_) send_est(r, b);  // BV relay
       if (c >= 2 * t_ + 1 && !rr.bin[b ? 1 : 0]) {
         rr.bin[b ? 1 : 0] = true;
@@ -71,14 +76,14 @@ void Aba::on_message(const Msg& m) {
     }
     case kAux: {
       Round& rr = round(r);
-      rr.aux.emplace(m.from, b ? 1 : 0);
+      if (rr.aux.insert(m.from) && b) rr.aux_one.insert(m.from);  // first AUX per sender wins
       if (r == round_) try_advance();
       return;
     }
     case kDecided: {
-      auto& s = decided_senders_[b ? 1 : 0];
-      if (!s.insert(m.from).second) return;
-      const int c = static_cast<int>(s.size());
+      PartySet& s = decided_senders_[b ? 1 : 0];
+      if (!s.insert(m.from)) return;
+      const int c = s.count();
       if (c >= t_ + 1 && !decided_sent_) {
         decided_sent_ = true;
         send_all(kDecided, enc(1, b));
@@ -109,14 +114,9 @@ void Aba::try_advance() {
   Round& rr = round(round_);
   if (rr.advanced || !rr.aux_sent) return;
   // Count AUX messages whose value already lies in bin_values.
-  int support = 0;
-  bool seen[2] = {false, false};
-  for (const auto& [from, v] : rr.aux) {
-    if (rr.bin[v]) {
-      ++support;
-      seen[v] = true;
-    }
-  }
+  const int ones = rr.aux_one.count(), zeros = rr.aux.count() - ones;
+  const bool seen[2] = {rr.bin[0] && zeros > 0, rr.bin[1] && ones > 0};
+  const int support = (rr.bin[0] ? zeros : 0) + (rr.bin[1] ? ones : 0);
   if (support < n() - t_) return;
   rr.advanced = true;
   const bool c = coin_.coin(id(), round_, self());

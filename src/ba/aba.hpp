@@ -11,13 +11,18 @@
 //
 // Decisions propagate through a Bracha-style DECIDED gadget (relay on t+1,
 // halt on 2t+1) so that executions quiesce.
+//
+// Every tally is a PartySet (a bitset over sender ids with a maintained
+// count): the EST senders per value, the AUX senders (first AUX per sender
+// wins) and the subset of them whose AUX was 1, and the DECIDED senders per
+// value. The rules count distinct senders only, so that is all their state.
 #pragma once
 
 #include <functional>
 #include <map>
-#include <set>
 
 #include "src/ba/coin.hpp"
+#include "src/common/party_set.hpp"
 #include "src/sim/instance.hpp"
 
 namespace bobw {
@@ -42,14 +47,16 @@ class Aba : public Instance {
 
  private:
   struct Round {
-    std::set<int> est_senders[2];
+    explicit Round(int n) : est_senders{PartySet(n), PartySet(n)}, aux(n), aux_one(n) {}
+    PartySet est_senders[2];
     bool est_sent[2] = {false, false};
     bool bin[2] = {false, false};
     bool aux_sent = false;
-    std::map<int, int> aux;  // sender -> bit
+    PartySet aux;      // senders whose first AUX arrived
+    PartySet aux_one;  // ... and was 1
     bool advanced = false;
   };
-  Round& round(int r) { return rounds_[r]; }
+  Round& round(int r) { return rounds_.try_emplace(r, n()).first->second; }
 
   void begin_round();
   void maybe_send_aux();
@@ -60,7 +67,7 @@ class Aba : public Instance {
   int t_;
   CoinSource& coin_;
   Handler on_decide_;
-  std::map<int, Round> rounds_;
+  std::map<int, Round> rounds_;  // keyed: Byzantine round ids reach 2^20
   int round_ = 0;
   bool est_ = false;
   bool started_ = false;
@@ -68,7 +75,7 @@ class Aba : public Instance {
   bool value_ = false;
   bool halted_ = false;
   bool decided_sent_ = false;
-  std::set<int> decided_senders_[2];
+  PartySet decided_senders_[2];
 };
 
 }  // namespace bobw

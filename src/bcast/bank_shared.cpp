@@ -8,6 +8,7 @@
 
 #include "src/bcast/bc_bank.hpp"
 #include "src/common/digest.hpp"
+#include "src/common/party_set.hpp"
 
 namespace bobw {
 
@@ -55,7 +56,9 @@ std::uint32_t BankCache::intern(const Bytes& value) {
   return intern_locked(value);
 }
 
-Bytes BankCache::value(std::uint32_t vid) const {
+const Bytes& BankCache::value(std::uint32_t vid) const {
+  // The lock covers the deque's index lookup, which a concurrent append may
+  // reallocate; the element it returns never moves.
   std::lock_guard<std::mutex> lock(mu_);
   return values_[vid];
 }
@@ -102,11 +105,10 @@ constexpr std::size_t kPruneThreshold = 1024;
 
 class AcastShared::Cohort {
  public:
-  /// Per-slot, per-value distinct-sender tally (bitmask over parties).
+  /// Per-slot, per-value distinct-sender tally.
   struct VoteSet {
     std::uint32_t vid = 0;
-    int count = 0;
-    std::vector<std::uint64_t> mask;
+    PartySet mask;
   };
   struct SlotState {
     bool echoed = false, readied = false;
@@ -147,20 +149,10 @@ class AcastShared::Cohort {
   /// Adds `from` to the tally of `vid`; returns the new count, or 0 if
   /// `from` was already recorded for that value.
   static int add_vote(std::vector<VoteSet>& sets, std::uint32_t vid, int from, int n) {
-    const std::size_t word = static_cast<std::size_t>(from) / 64;
-    const std::uint64_t bit = 1ull << (static_cast<std::size_t>(from) % 64);
-    for (VoteSet& v : sets) {
-      if (v.vid != vid) continue;
-      if (v.mask[word] & bit) return 0;
-      v.mask[word] |= bit;
-      return ++v.count;
-    }
-    VoteSet v;
-    v.vid = vid;
-    v.count = 1;
-    v.mask.assign((static_cast<std::size_t>(n) + 63) / 64, 0);
-    v.mask[word] |= bit;
-    sets.push_back(std::move(v));
+    for (VoteSet& v : sets)
+      if (v.vid == vid) return v.mask.insert(from) ? v.mask.count() : 0;
+    sets.push_back(VoteSet{vid, PartySet(n)});
+    sets.back().mask.insert(from);
     return 1;
   }
 

@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -55,7 +56,9 @@ class BankCache {
   /// Dense value ids: one digest per lookup, full-body compare only within
   /// the digest bucket.
   std::uint32_t intern(const Bytes& value);
-  Bytes value(std::uint32_t vid) const;
+  /// The interned bytes of `vid`. Values are only ever appended, never moved
+  /// or freed, so the reference stays valid for the cache's lifetime.
+  const Bytes& value(std::uint32_t vid) const;
 
  protected:
   explicit BankCache(Sim& sim) : stats_(&sim.decode_cache_stats()) {}
@@ -183,7 +186,7 @@ class BankCache {
   }
 
   Sim::DecodeCacheStats* stats_;
-  std::vector<Bytes> values_;
+  std::deque<Bytes> values_;  // reference-stable: value() hands out references
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> vids_by_digest_;
   std::unordered_map<std::uint64_t, std::vector<Payload>> canon_;
 };

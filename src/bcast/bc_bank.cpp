@@ -240,6 +240,9 @@ void SbaBank::round_c_end(int k) {
 BcBank::BcBank(Party& party, const std::string& id, std::vector<Group> groups, const Ctx& ctx)
     : party_(party), ctx_(ctx) {
   assert(!groups.empty());
+  groups_.reserve(groups.size());
+  bases_.reserve(groups.size());
+  part_slots_.reserve(groups.size());  // at most one schedule per group
   std::size_t base = 0;
   for (Group& g : groups) {
     GroupState gs;
@@ -262,6 +265,7 @@ BcBank::BcBank(Party& party, const std::string& id, std::vector<Group> groups, c
   // SBA schedules: one per distinct group start, first-appearance order
   // (equal-start groups — a sharing's n child grids — share one schedule).
   std::vector<Tick> part_start;
+  part_start.reserve(groups_.size());
   for (GroupState& gs : groups_) {
     int p = -1;
     for (std::size_t i = 0; i < part_start.size(); ++i)

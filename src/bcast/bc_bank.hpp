@@ -151,7 +151,7 @@ class AcastBank : public Instance {
     const std::uint32_t v = outputs_[static_cast<std::size_t>(slot)];
     return v == AcastShared::kNoVid ? std::nullopt : std::optional<std::uint32_t>(v);
   }
-  Bytes value(std::uint32_t vid) const { return shared_->value(vid); }
+  const Bytes& value(std::uint32_t vid) const { return shared_->value(vid); }
 
   void on_message(const Msg& m) override;
 

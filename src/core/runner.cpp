@@ -15,6 +15,10 @@ void MpcConfig::validate() const {
     throw std::invalid_argument("MpcConfig: corrupt set exceeds the network's threshold");
   for (int c : corrupt)
     if (c < 0 || c >= n) throw std::invalid_argument("MpcConfig: corrupt id outside [0, n)");
+  if (adversary)
+    for (int c : adversary->corrupt_set())
+      if (c < 0 || c >= n)
+        throw std::invalid_argument("MpcConfig: adversary corrupts an id outside [0, n)");
 }
 
 bool MpcResult::all_honest_agree(const std::set<int>& corrupt) const {

@@ -34,7 +34,11 @@ struct MpcConfig {
   /// Corrupt parties. Default behaviour: crash-silent. Pass a custom
   /// adversary for active behaviours.
   std::set<int> corrupt;
-  std::shared_ptr<Adversary> adversary;  // optional; overrides `corrupt`
+  /// Optional; overrides `corrupt`. validate() checks that its corrupt set
+  /// names parties in [0, n), but not the network's threshold: a custom
+  /// adversary may exceed it on purpose (`sabotage_scenario` does, to
+  /// prove the fuzz harness detects violations).
+  std::shared_ptr<Adversary> adversary;
   /// Asynchronous-mode delay band (ignored in synchronous mode).
   Tick async_min = 1, async_max = 4000;
   /// Hard stop (0 = none): simulation aborts after this many events.
@@ -48,8 +52,9 @@ struct MpcConfig {
   /// parallel path onto small-n runs.
   std::size_t min_batch = 0;
 
-  /// Validate n > 3ts + ta, ta <= ts, and a corrupt set of ids in [0, n)
-  /// within the network's threshold; throws std::invalid_argument.
+  /// Validate n > 3ts + ta, ta <= ts, a corrupt set of ids in [0, n)
+  /// within the network's threshold, and an adversary corrupting only ids
+  /// in [0, n); throws std::invalid_argument.
   void validate() const;
 };
 

@@ -1,46 +1,57 @@
 #include "src/graph/matching.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <queue>
 #include <stdexcept>
 
 namespace bobw {
 
-Graph::Graph(int n) : n_(n), adj_(static_cast<std::size_t>(n), std::vector<bool>(static_cast<std::size_t>(n), false)) {
+Graph::Graph(int n) : n_(n), words_(0) {
   if (n < 0) throw std::invalid_argument("Graph: negative size");
+  words_ = (static_cast<std::size_t>(n) + 63) / 64;
+  bits_.assign(static_cast<std::size_t>(n) * words_, 0);
 }
 
 void Graph::add_edge(int u, int v) {
   if (u == v) return;
-  adj_[static_cast<std::size_t>(u)][static_cast<std::size_t>(v)] = true;
-  adj_[static_cast<std::size_t>(v)][static_cast<std::size_t>(u)] = true;
-}
-
-bool Graph::has_edge(int u, int v) const {
-  return u != v && adj_[static_cast<std::size_t>(u)][static_cast<std::size_t>(v)];
+  row(u)[static_cast<unsigned>(v) / 64] |= std::uint64_t{1} << (static_cast<unsigned>(v) % 64);
+  row(v)[static_cast<unsigned>(u) / 64] |= std::uint64_t{1} << (static_cast<unsigned>(u) % 64);
 }
 
 Graph Graph::complement() const {
   Graph h(n_);
-  for (int u = 0; u < n_; ++u)
-    for (int v = u + 1; v < n_; ++v)
-      if (!has_edge(u, v)) h.add_edge(u, v);
+  // Bits past n in a row's last word stay clear.
+  const unsigned tail = static_cast<unsigned>(n_) % 64;
+  const std::uint64_t last = tail ? (std::uint64_t{1} << tail) - 1 : ~std::uint64_t{0};
+  for (int u = 0; u < n_; ++u) {
+    const std::uint64_t* from = row(u);
+    std::uint64_t* to = h.row(u);
+    for (std::size_t w = 0; w < words_; ++w) to[w] = ~from[w];
+    to[words_ - 1] &= last;
+    to[static_cast<unsigned>(u) / 64] &= ~(std::uint64_t{1} << (static_cast<unsigned>(u) % 64));
+  }
   return h;
 }
 
 int Graph::degree(int v) const {
   int d = 0;
-  for (int u = 0; u < n_; ++u)
-    if (has_edge(v, u)) ++d;
+  const std::uint64_t* r = row(v);
+  for (std::size_t w = 0; w < words_; ++w) d += std::popcount(r[w]);
   return d;
 }
 
 Graph Graph::induced(const std::vector<bool>& keep) const {
   Graph h(n_);
+  std::vector<std::uint64_t> mask(words_, 0);
+  for (int v = 0; v < n_; ++v)
+    if (keep[static_cast<std::size_t>(v)])
+      mask[static_cast<unsigned>(v) / 64] |= std::uint64_t{1} << (static_cast<unsigned>(v) % 64);
   for (int u = 0; u < n_; ++u) {
     if (!keep[static_cast<std::size_t>(u)]) continue;
-    for (int v = u + 1; v < n_; ++v)
-      if (keep[static_cast<std::size_t>(v)] && has_edge(u, v)) h.add_edge(u, v);
+    const std::uint64_t* from = row(u);
+    std::uint64_t* to = h.row(u);
+    for (std::size_t w = 0; w < words_; ++w) to[w] = from[w] & mask[w];
   }
   return h;
 }

@@ -3,17 +3,22 @@
 // the *complement* of the consistency graph, which is a general graph.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
 namespace bobw {
 
-/// Undirected simple graph on vertices 0..n-1, adjacency matrix form.
+/// Undirected simple graph on vertices 0..n-1: one flat array of adjacency
+/// bit rows, ⌈n/64⌉ words each (bit v of row u set iff edge {u,v}).
 class Graph {
  public:
   explicit Graph(int n);
   int size() const { return n_; }
   void add_edge(int u, int v);
-  bool has_edge(int u, int v) const;
+  bool has_edge(int u, int v) const {
+    return u != v && (row(u)[static_cast<unsigned>(v) / 64] >> (static_cast<unsigned>(v) % 64)) & 1;
+  }
   /// Complement graph (no self loops).
   Graph complement() const;
   int degree(int v) const;
@@ -22,8 +27,12 @@ class Graph {
   Graph induced(const std::vector<bool>& keep) const;
 
  private:
+  const std::uint64_t* row(int u) const { return &bits_[static_cast<std::size_t>(u) * words_]; }
+  std::uint64_t* row(int u) { return &bits_[static_cast<std::size_t>(u) * words_]; }
+
   int n_;
-  std::vector<std::vector<bool>> adj_;
+  std::size_t words_;  // words per row
+  std::vector<std::uint64_t> bits_;
 };
 
 /// Returns match[v] = partner of v, or -1 if unmatched. Edmonds' blossom

@@ -136,21 +136,17 @@ void StarCore::on_rows(const Msg& m) {
 void StarCore::maybe_broadcast_verdict(int j) {
   if (!rows_valid_ || !values_from(j) || verdict_broadcast_[static_cast<std::size_t>(j)]) return;
   verdict_broadcast_[static_cast<std::size_t>(j)] = 1;
-  at(next_multiple(now(), ctx_.delta), [this, j] {
-    wire::Verdict v;
-    const auto& vals = *values_from(j);
-    std::vector<Fp> mine(rows_.rows());
-    eval_rows(rows_, alpha(j), mine.data());
-    for (std::size_t l = 0; l < mine.size(); ++l) {
-      if (vals[l] != mine[l]) {
-        v.ok = false;
-        v.nok_index = static_cast<std::uint32_t>(l);
-        v.nok_value = mine[l];
-        break;  // least failing index
-      }
-    }
+  // The verdict depends only on the rows and values_from(j), both final
+  // now; taking it here lets a ΠWPS release its kept payload at once.
+  at(next_multiple(now(), ctx_.delta), [this, j, v = verdict_on(j)] {
     bank_->broadcast(groups_[planelayout::kOk], self() * n() + j, wire::encode_verdict(v));
   });
+}
+
+wire::Verdict StarCore::verdict_on(int j) {
+  std::vector<Fp> mine(rows_.rows());
+  eval_rows(rows_, alpha(j), mine.data());
+  return wire::compare_points(mine, *values_from(j));
 }
 
 void StarCore::on_verdict(int slot, const std::optional<Bytes>& v, bool fallback) {

@@ -17,7 +17,8 @@
 //                 row's q_i(0), the rest complete from F'.
 //
 // The two protocols differ only in their second communication layer, which
-// the subclasses supply through three hooks:
+// the subclasses supply through three hooks (and a fourth, optional one,
+// verdict_on(j), for a layer that already holds its values at α_j):
 //   * start_second_layer(): what a party does with its rows (ΠWPS sends
 //     pairwise points, ΠVSS re-shares them through its own ΠWPS);
 //   * values_from(j): the L values Pj sent back through that layer, which
@@ -100,6 +101,11 @@ class StarCore : public Instance {
   virtual void start_second_layer() = 0;
   virtual const std::optional<std::vector<Fp>>& values_from(int j) const = 0;
   virtual void complete_from(const std::vector<int>& providers) = 0;
+  /// The verdict on Pj, taken once, as soon as values_from(j) and the rows
+  /// are both in (it is broadcast at the next Δ boundary): values_from(j)
+  /// against this party's rows at α_j (wire::compare_points). This default
+  /// evaluates the rows.
+  virtual wire::Verdict verdict_on(int j);
 
   int dealer_, L_;
   Ctx ctx_;

@@ -23,9 +23,8 @@ class VerdictState {
  public:
   explicit VerdictState(int n)
       : n_(n),
-        reg_(static_cast<std::size_t>(n),
-             std::vector<std::optional<wire::Verdict>>(static_cast<std::size_t>(n))),
-        any_(reg_),
+        reg_(static_cast<std::size_t>(n) * static_cast<std::size_t>(n)),
+        any_(reg_.size()),
         g_reg_(n),
         g_any_(n) {}
 
@@ -39,26 +38,27 @@ class VerdictState {
 
   int n() const { return n_; }
 
-  const std::optional<wire::Verdict>& reg(int i, int j) const {
-    return reg_[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
-  }
-  const std::optional<wire::Verdict>& any(int i, int j) const {
-    return any_[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
-  }
+  const std::optional<wire::Verdict>& reg(int i, int j) const { return reg_[cell(i, j)]; }
+  const std::optional<wire::Verdict>& any(int i, int j) const { return any_[cell(i, j)]; }
 
   /// The consistency graph of a view: edge {i,j} iff both directed verdicts
   /// are recorded and OK. Kept current on every record().
   const Graph& graph(bool regular_only) const { return regular_only ? g_reg_ : g_any_; }
 
  private:
-  using Table = std::vector<std::vector<std::optional<wire::Verdict>>>;
+  /// One view: n×n cells, row-major by verdict sender.
+  using Table = std::vector<std::optional<wire::Verdict>>;
+
+  std::size_t cell(int i, int j) const {
+    return static_cast<std::size_t>(i) * static_cast<std::size_t>(n_) + static_cast<std::size_t>(j);
+  }
 
   void record_into(Table& tbl, Graph& g, int i, int j, const wire::Verdict& v) {
-    auto& cell = tbl[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)];
-    if (cell) return;
-    cell = v;
+    auto& c = tbl[cell(i, j)];
+    if (c) return;
+    c = v;
     if (i == j || !v.ok) return;
-    const auto& rev = tbl[static_cast<std::size_t>(j)][static_cast<std::size_t>(i)];
+    const auto& rev = tbl[cell(j, i)];
     if (rev && rev->ok) g.add_edge(i, j);
   }
 

@@ -1,7 +1,9 @@
 #include "src/vss/wire.hpp"
 
 #include <algorithm>
-#include <set>
+#include <cstring>
+
+#include "src/common/party_set.hpp"
 
 namespace bobw::wire {
 
@@ -63,6 +65,30 @@ std::optional<std::vector<Fp>> decode_points(const Bytes& b, int L) {
   return pts;
 }
 
+Verdict compare_points(std::span<const Fp> mine, std::span<const Fp> theirs) {
+  Verdict v;
+  for (std::size_t l = 0; l < mine.size(); ++l)
+    if (theirs[l] != mine[l]) {
+      v.ok = false;
+      v.nok_index = static_cast<std::uint32_t>(l);
+      v.nok_value = mine[l];
+      break;  // least failing index
+    }
+  return v;
+}
+
+Verdict compare_points(const Bytes& mine, std::span<const Fp> theirs) {
+  // Words are canonical on both sides (encode_points of field elements;
+  // decode_points rejects the rest), so equal values are equal bytes. An
+  // empty span may hold a null pointer, which memcmp must not see.
+  if (theirs.empty()) return Verdict{};
+  const std::uint8_t* words = mine.data() + 4;
+  if (std::memcmp(words, theirs.data(), kWord * theirs.size()) == 0) return Verdict{};
+  std::vector<Fp> lanes(theirs.size());
+  std::memcpy(lanes.data(), words, kWord * lanes.size());
+  return compare_points(lanes, theirs);
+}
+
 Bytes encode_verdict(const Verdict& v) {
   Writer w;
   w.u8(v.ok ? 1 : 0);
@@ -101,11 +127,11 @@ void put_ids(Writer& w, const std::vector<int>& ids) {
 bool get_ids(Reader& r, int n, std::vector<int>& out) {
   std::uint32_t k = r.u32();
   if (k > static_cast<std::uint32_t>(n)) return false;
-  std::set<int> seen;
+  PartySet seen(n);
   out.clear();
   for (std::uint32_t i = 0; i < k; ++i) {
     int v = static_cast<int>(r.u32());
-    if (v < 0 || v >= n || !seen.insert(v).second) return false;
+    if (v < 0 || v >= n || !seen.insert(v)) return false;
     out.push_back(v);
   }
   return true;

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/common/codec.hpp"
@@ -33,6 +34,12 @@ struct Verdict {
   std::uint32_t nok_index = 0;  // least ℓ with a mismatch
   Fp nok_value;                 // sender's own value at that index
 };
+/// The verdict on another party's L values `theirs` against this party's own
+/// `mine`: OK iff they are equal, else NOK at the least differing index with
+/// this party's value there.
+Verdict compare_points(std::span<const Fp> mine, std::span<const Fp> theirs);
+/// The same with `mine` in its encode_points form (an L-value payload).
+Verdict compare_points(const Bytes& mine, std::span<const Fp> theirs);
 Bytes encode_verdict(const Verdict& v);
 std::optional<Verdict> decode_verdict(const Bytes& b);
 

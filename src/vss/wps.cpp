@@ -40,10 +40,23 @@ void Wps::on_message(const Msg& m) {
 }
 
 void Wps::start_second_layer() {
+  sent_.reserve(static_cast<std::size_t>(n()));
+  for (int j = 0; j < n(); ++j) sent_.emplace_back(wire::encode_row_points(rows_, alpha(j)));
   at(next_multiple(now(), ctx_.delta), [this] {
-    for (int j = 0; j < n(); ++j)
-      send(j, kPoints, wire::encode_row_points(rows_, alpha(j)));
+    points_sent_ = true;
+    for (int j = 0; j < n(); ++j) {
+      Payload& p = sent_[static_cast<std::size_t>(j)];
+      send(j, kPoints, p);
+      if (pts_[static_cast<std::size_t>(j)]) p = Payload();  // verdict already taken
+    }
   });
+}
+
+wire::Verdict Wps::verdict_on(int j) {
+  Payload& p = sent_[static_cast<std::size_t>(j)];
+  const wire::Verdict v = wire::compare_points(p.bytes(), *pts_[static_cast<std::size_t>(j)]);
+  if (points_sent_) p = Payload();  // else the send releases it
+  return v;
 }
 
 void Wps::on_points(const Msg& m) {

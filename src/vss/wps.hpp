@@ -37,6 +37,9 @@ class Wps : public StarCore {
       Handler on_shares, BcBank* plane = nullptr,
       planelayout::StarGroups groups = planelayout::kOwnGroups);
 
+  /// Dealer-side, fully adversarial (fault injection).
+  using StarCore::deal_rows_custom;
+
   void on_message(const Msg& m) override;
 
  private:
@@ -47,12 +50,21 @@ class Wps : public StarCore {
     return pts_[static_cast<std::size_t>(j)];
   }
   void complete_from(const std::vector<int>& providers) override;
+  /// Compares Pj's points with the payload this party sends Pj: no second
+  /// evaluation of the rows.
+  wire::Verdict verdict_on(int j) override;
 
   void on_points(const Msg& m);
   void feed_oec(int j);
 
   std::unique_ptr<BcBank> own_plane_;  // null when riding a parent's plane
   std::vector<std::optional<std::vector<Fp>>> pts_;  // pts_[j]: L values from Pj
+  // sent_[j]: the points this party sends Pj (its rows at α_j), built once
+  // when the rows are accepted. Each is released as soon as it is both sent
+  // and compared for the verdict on Pj, whichever comes last: Pj's points
+  // may arrive before this party's rows, so before its own send.
+  std::vector<Payload> sent_;
+  bool points_sent_ = false;
 
   // Share completion. One OEC bank over the shared provider α-grid: all L
   // lanes reuse each provider's power row, duplicate scan and head weights.

@@ -2,6 +2,7 @@
 
 #include <functional>
 #include <set>
+#include <string>
 
 #include "src/ba/aba.hpp"
 #include "src/ba/ba.hpp"
@@ -46,6 +47,20 @@ struct AbaRun {
   }
 };
 
+/// Every honest party decided, and all decided the same bit.
+void expect_honest_agree(const test::World& w, const AbaRun& run, const std::string& what) {
+  std::optional<bool> agreed;
+  for (int i = 0; i < w.n(); ++i) {
+    if (!w.honest(i)) continue;
+    const auto& d = run.decided[static_cast<std::size_t>(i)];
+    ASSERT_TRUE(d) << what << " party " << i;
+    if (agreed) {
+      EXPECT_EQ(*agreed, *d) << what << " party " << i;
+    }
+    agreed = d;
+  }
+}
+
 class AbaModeSweep : public ::testing::TestWithParam<NetMode> {};
 
 TEST_P(AbaModeSweep, ValidityUnanimous) {
@@ -68,14 +83,24 @@ TEST_P(AbaModeSweep, ConsistencyMixedInputs) {
     std::vector<bool> inputs{true, false, true, false, true, false, true};
     run.start_all(w, inputs);
     w.sim->run();
-    std::optional<bool> agreed;
-    for (int i = 0; i < 7; ++i) {
-      if (!w.honest(i)) continue;
-      ASSERT_TRUE(run.decided[static_cast<std::size_t>(i)]) << "seed " << seed;
-      if (agreed) { EXPECT_EQ(*agreed, *run.decided[static_cast<std::size_t>(i)]); }
-      agreed = run.decided[static_cast<std::size_t>(i)];
-    }
+    expect_honest_agree(w, run, "seed " + std::to_string(seed));
   }
+}
+
+TEST_P(AbaModeSweep, ConsistencyMixedInputsN130) {
+  // n = 130 > PartySet::kInlineParties, so every EST/AUX/DECIDED tally
+  // lives in its heap block. t = 43 parties crash; the rest start with
+  // mixed inputs.
+  const int n = 130, t = 43;
+  auto adv = std::make_shared<CrashAdversary>();
+  for (int c = 0; c < t; ++c) adv->corrupt(3 * c);
+  auto w = make_world(n, t, 0, GetParam(), adv, 11);
+  AbaRun run(w, t);
+  std::vector<bool> inputs(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) inputs[static_cast<std::size_t>(i)] = i % 5 < 2;
+  run.start_all(w, inputs);
+  w.sim->run();
+  expect_honest_agree(w, run, "n 130");
 }
 
 INSTANTIATE_TEST_SUITE_P(BothNetworks, AbaModeSweep,

@@ -209,6 +209,17 @@ TEST(CirEval, ConfigValidation) {
     EXPECT_THROW(run_mpc(cir, {Fp(0), Fp(0), Fp(0), Fp(0)}, cfg4), std::invalid_argument)
         << "corrupt id " << bad;
   }
+  // A custom adversary overrides `corrupt`; its ids must name parties too.
+  // Its threshold is not checked (see MpcConfig::adversary).
+  MpcConfig cfg5;
+  auto crash = std::make_shared<CrashAdversary>();
+  for (int c : {0, 1, 9}) crash->corrupt(c);
+  cfg5.adversary = crash;
+  EXPECT_THROW(cfg5.validate(), std::invalid_argument);
+  EXPECT_THROW(run_mpc(cir, {Fp(0), Fp(0), Fp(0), Fp(0)}, cfg5), std::invalid_argument);
+  MpcConfig cfg6;
+  cfg6.adversary = test::crash({0, 1});  // over ts = 1, but every id exists
+  EXPECT_NO_THROW(cfg6.validate());
 }
 
 TEST(CirEval, MultiOutputCircuits) {

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "src/common/rng.hpp"
+#include "src/field/fp.hpp"
 #include "src/graph/matching.hpp"
 #include "src/graph/star.hpp"
 
@@ -120,6 +122,110 @@ TEST(Graph, ComplementAndInduced) {
   Graph ind = h.induced(keep);
   EXPECT_FALSE(ind.has_edge(0, 2));
   EXPECT_TRUE(ind.has_edge(0, 3));
+}
+
+// ---------------------------------------- Graph vs an adjacency matrix ---
+
+using RefGraph = std::vector<std::vector<bool>>;
+
+/// Rank of an n×n matrix over F_p, by Gaussian elimination.
+int rank_fp(std::vector<std::vector<Fp>> a) {
+  const std::size_t n = a.size();
+  int rank = 0;
+  for (std::size_t col = 0, row = 0; col < n && row < n; ++col) {
+    std::size_t piv = row;
+    while (piv < n && a[piv][col] == Fp(0)) ++piv;
+    if (piv == n) continue;
+    std::swap(a[piv], a[row]);
+    const Fp inv = a[row][col].inv();
+    for (std::size_t r = row + 1; r < n; ++r) {
+      if (a[r][col] == Fp(0)) continue;
+      const Fp f = a[r][col] * inv;
+      for (std::size_t c = col; c < n; ++c) a[r][c] = a[r][c] - f * a[row][c];
+    }
+    ++row;
+    ++rank;
+  }
+  return rank;
+}
+
+/// Maximum matching size of `ref`, independently of the blossom code: the
+/// Tutte matrix with random entries has rank 2ν(G) except with probability
+/// at most n/p (Lovász; p = 2^61 − 1).
+int tutte_matching_size(const RefGraph& ref, Rng& rng) {
+  const std::size_t n = ref.size();
+  std::vector<std::vector<Fp>> t(n, std::vector<Fp>(n, Fp(0)));
+  for (std::size_t u = 0; u < n; ++u)
+    for (std::size_t v = u + 1; v < n; ++v)
+      if (ref[u][v]) {
+        const Fp x(rng.next_u64());
+        t[u][v] = x;
+        t[v][u] = Fp(0) - x;
+      }
+  return rank_fp(std::move(t)) / 2;
+}
+
+/// Every vertex pair and degree of `g` agrees with `ref`.
+void expect_same_graph(const Graph& g, const RefGraph& ref, const char* what) {
+  const int n = static_cast<int>(ref.size());
+  ASSERT_EQ(g.size(), n) << what;
+  for (int u = 0; u < n; ++u) {
+    int deg = 0;
+    for (int v = 0; v < n; ++v) {
+      const bool e = ref[static_cast<std::size_t>(u)][static_cast<std::size_t>(v)];
+      deg += e ? 1 : 0;
+      ASSERT_EQ(g.has_edge(u, v), e) << what << " n " << n << " edge " << u << "-" << v;
+    }
+    ASSERT_EQ(g.degree(u), deg) << what << " n " << n << " vertex " << u;
+  }
+}
+
+TEST(Graph, BitRowsMatchAdjacencyMatrixReference) {
+  // Word-boundary sizes (64, 65) and a three-word row (130), at sparse,
+  // medium and dense edge probabilities.
+  Rng rng(2024);
+  for (int n : {4, 10, 64, 65, 130}) {
+    for (int density : {5, 50, 95}) {
+      const auto N = static_cast<std::size_t>(n);
+      RefGraph ref(N, std::vector<bool>(N, false));
+      Graph g(n);
+      for (int u = 0; u < n; ++u)
+        for (int v = u + 1; v < n; ++v)
+          if (static_cast<int>(rng.next_below(100)) < density) {
+            ref[static_cast<std::size_t>(u)][static_cast<std::size_t>(v)] = true;
+            ref[static_cast<std::size_t>(v)][static_cast<std::size_t>(u)] = true;
+            g.add_edge(u, v);
+          }
+      g.add_edge(0, 0);  // self loops are ignored
+      expect_same_graph(g, ref, "graph");
+
+      RefGraph comp(N, std::vector<bool>(N, false));
+      for (std::size_t u = 0; u < N; ++u)
+        for (std::size_t v = 0; v < N; ++v) comp[u][v] = u != v && !ref[u][v];
+      expect_same_graph(g.complement(), comp, "complement");
+
+      std::vector<bool> keep(N);
+      for (std::size_t v = 0; v < N; ++v) keep[v] = rng.next_below(100) < 70;
+      RefGraph ind(N, std::vector<bool>(N, false));
+      for (std::size_t u = 0; u < N; ++u)
+        for (std::size_t v = 0; v < N; ++v) ind[u][v] = keep[u] && keep[v] && ref[u][v];
+      expect_same_graph(g.induced(keep), ind, "induced");
+
+      for (const auto& [graph, adj] :
+           {std::pair<Graph, const RefGraph*>{g, &ref}, {g.complement(), &comp}}) {
+        const auto match = max_matching(graph);
+        int size = 0;
+        for (int v = 0; v < n; ++v) {
+          const int m = match[static_cast<std::size_t>(v)];
+          if (m == -1) continue;
+          ASSERT_EQ(match[static_cast<std::size_t>(m)], v);
+          ASSERT_TRUE((*adj)[static_cast<std::size_t>(v)][static_cast<std::size_t>(m)]);
+          if (m > v) ++size;
+        }
+        EXPECT_EQ(size, tutte_matching_size(*adj, rng)) << "n " << n << " density " << density;
+      }
+    }
+  }
 }
 
 void check_star(const Graph& g, const Star& s, int t) {
