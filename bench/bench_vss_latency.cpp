@@ -89,10 +89,9 @@ BigSample run_vss_big(int n, int threads, std::uint64_t seed) {
   BigSample s;
   s.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   for (char f : done) s.outputs += f;
-  for (const auto& k : w.sim->shared_state_keys()) {
-    if (k.rfind("acast|", 0) == 0 && k.find("/plane/") != std::string::npos) ++s.plane_acasts;
-    if (k.rfind("sba|", 0) == 0 && k.find("/plane/") != std::string::npos) ++s.sba_schedules;
-  }
+  const test::BankCount plane = test::count_banks(*w.sim, "/plane/");
+  s.plane_acasts = plane.acast;
+  s.sba_schedules = plane.sba;
   s.msgs = static_cast<double>(w.sim->metrics().honest_msgs());
   const auto& cs = w.sim->decode_cache_stats();
   const double hits = static_cast<double>(cs.hits.load());

@@ -2,14 +2,15 @@
 
 namespace bobw {
 
-Acs::Acs(Party& party, const std::string& id, int L, const Ctx& ctx, Tick base,
+Acs::Acs(Party& party, const Addr& addr, int L, const Ctx& ctx, Tick base,
          CsRule rule, Handler on_output)
     : party_(party),
+      route_(party.sim().routes().resolve(addr)),
       handler_(std::move(on_output)),
-      vote_(party, id, ctx, base + ctx.T.t_vss, rule,
+      vote_(party, route_, ctx, base + ctx.T.t_vss, rule,
             [&](int j) {
               vss_.push_back(std::make_unique<Vss>(
-                  party_, sub_id(id, "vss:" + std::to_string(j)), j, L, ctx, base,
+                  party_, Addr(route_, "vss", j), j, L, ctx, base,
                   [this, j](const std::vector<Fp>&) {
                     // Pj entered C_i: vote 1 in Π(j)BA.
                     vote_.vote_one(j);

@@ -33,7 +33,9 @@ class Acs {
 
   using CsRule = SubsetVote::Rule;
 
-  Acs(Party& party, const std::string& id, int L, const Ctx& ctx, Tick base,
+  /// `addr` is an interior route: Pj's ΠVSS lives at addr/vss:j, Π(j)BA at
+  /// addr/ba:j.
+  Acs(Party& party, const Addr& addr, int L, const Ctx& ctx, Tick base,
       CsRule rule, Handler on_output);
 
   /// This party's input polynomials (dealt through its ΠVSS at the base
@@ -50,6 +52,7 @@ class Acs {
   void maybe_finish();
 
   Party& party_;
+  RouteId route_;
   Handler handler_;
 
   std::vector<std::unique_ptr<Vss>> vss_;

@@ -2,7 +2,7 @@
 
 namespace bobw {
 
-SubsetVote::SubsetVote(Party& party, const std::string& id, const Ctx& ctx, Tick ba_start,
+SubsetVote::SubsetVote(Party& party, RouteId parent, const Ctx& ctx, Tick ba_start,
                        Rule rule, const std::function<void(int j)>& build_child, Handler on_cs)
     : ctx_(ctx),
       rule_(rule),
@@ -12,7 +12,7 @@ SubsetVote::SubsetVote(Party& party, const std::string& id, const Ctx& ctx, Tick
   for (int j = 0; j < ctx_.n; ++j) {
     build_child(j);
     ba_[static_cast<std::size_t>(j)] = std::make_unique<Ba>(
-        party, sub_id(id, "ba:" + std::to_string(j)), ctx_, ba_start,
+        party, Addr(parent, "ba", j), ctx_, ba_start,
         [this, j](bool b) { on_ba_decided(j, b); });
   }
 }

@@ -19,7 +19,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "src/ba/ba.hpp"
@@ -34,9 +33,10 @@ class SubsetVote {
   using Handler = std::function<void(const std::vector<int>& cs)>;
 
   /// Builds, for j = 0..n−1, the parent's child j (via `build_child`) and
-  /// then Π(j)BA "id/ba:j" starting at `ba_start` — children and BAs
-  /// interleaved, in that order.
-  SubsetVote(Party& party, const std::string& id, const Ctx& ctx, Tick ba_start, Rule rule,
+  /// then Π(j)BA at parent/ba:j starting at `ba_start` — children and BAs
+  /// interleaved, in that order. The vote is not a node of its own: its
+  /// BAs are children of the parent's route.
+  SubsetVote(Party& party, RouteId parent, const Ctx& ctx, Tick ba_start, Rule rule,
              const std::function<void(int j)>& build_child, Handler on_cs);
   // The BA handlers hold `this`.
   SubsetVote(const SubsetVote&) = delete;

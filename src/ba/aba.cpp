@@ -25,10 +25,11 @@ bool dec(const Bytes& body, int& r, bool& b) {
 }
 }  // namespace
 
-Aba::Aba(Party& party, std::string id, int t, CoinSource& coin, Handler on_decide)
-    : Instance(party, std::move(id)),
+Aba::Aba(Party& party, const Addr& addr, int t, CoinSource& coin, Handler on_decide)
+    : Instance(party, addr),
       t_(t),
       coin_(coin),
+      coin_key_(party.sim().routes().path_hash(route())),
       on_decide_(std::move(on_decide)),
       decided_senders_{PartySet(party.n()), PartySet(party.n())} {}
 
@@ -119,7 +120,7 @@ void Aba::try_advance() {
   const int support = (rr.bin[0] ? zeros : 0) + (rr.bin[1] ? ones : 0);
   if (support < n() - t_) return;
   rr.advanced = true;
-  const bool c = coin_.coin(id(), round_, self());
+  const bool c = coin_.coin(coin_key_, round_, self());
   if (seen[0] != seen[1]) {  // values = {b}
     const bool b = seen[1];
     est_ = b;

@@ -31,7 +31,7 @@ class Aba : public Instance {
  public:
   using Handler = std::function<void(bool)>;
 
-  Aba(Party& party, std::string id, int t, CoinSource& coin, Handler on_decide);
+  Aba(Party& party, const Addr& addr, int t, CoinSource& coin, Handler on_decide);
 
   /// Join the protocol with an input bit. May be called at any local time.
   void start(bool input);
@@ -66,6 +66,7 @@ class Aba : public Instance {
 
   int t_;
   CoinSource& coin_;
+  std::uint64_t coin_key_;  // this route's path hash
   Handler on_decide_;
   std::map<int, Round> rounds_;  // keyed: Byzantine round ids reach 2^20
   int round_ = 0;

@@ -2,23 +2,24 @@
 
 namespace bobw {
 
-Ba::Ba(Party& party, const std::string& id, const Ctx& ctx, Tick start_time, Handler on_decide,
+Ba::Ba(Party& party, const Addr& addr, const Ctx& ctx, Tick start_time, Handler on_decide,
        BcBank* bc_bank, int bc_group)
     : party_(party), ctx_(ctx), start_(start_time), on_decide_(std::move(on_decide)),
       bc_(bc_bank), bc_group_(bc_group) {
+  const RouteId route = party_.sim().routes().resolve(addr);
   regular_bits_.assign(static_cast<std::size_t>(ctx_.n), std::nullopt);
   if (!bc_) {
     std::vector<int> senders(static_cast<std::size_t>(ctx_.n));
     for (int j = 0; j < ctx_.n; ++j) senders[static_cast<std::size_t>(j)] = j;
     bc_bank_ = std::make_unique<BcBank>(
-        party_, sub_id(id, "bc"), std::move(senders), ctx_, start_,
+        party_, Addr(route, "bc"), std::move(senders), ctx_, start_,
         [this](int j, const std::optional<Bytes>& v, bool fallback) {
           on_input_bc(j, v, fallback);
         });
     bc_ = bc_bank_.get();
     bc_group_ = 0;
   }
-  aba_ = std::make_unique<Aba>(party_, sub_id(id, "aba"), ctx_.ts, *ctx_.coin,
+  aba_ = std::make_unique<Aba>(party_, Addr(route, "aba"), ctx_.ts, *ctx_.coin,
                                [this](bool b) {
                                  if (on_decide_) on_decide_(b);
                                });

@@ -35,8 +35,10 @@ class Ba {
   /// `bc_bank`/`bc_group` — an n-slot group (slot j = Pj's bit, sender Pj,
   /// start = start_time) on the parent's bank — and installs a group handler
   /// forwarding into on_input_bc(); the instance then only *sends* through
-  /// the shared bank. The ΠABA stays per-instance either way.
-  Ba(Party& party, const std::string& id, const Ctx& ctx, Tick start_time, Handler on_decide,
+  /// the shared bank. The ΠABA stays per-instance either way. `addr` is an
+  /// interior route: the ΠABA lives at addr/aba, a standalone bank at
+  /// addr/bc.
+  Ba(Party& party, const Addr& addr, const Ctx& ctx, Tick start_time, Handler on_decide,
      BcBank* bc_bank = nullptr, int bc_group = 0);
 
   /// Provide this party's input. Can be called before or after start_time.
@@ -49,7 +51,6 @@ class Ba {
   bool has_input() const { return input_.has_value(); }
   bool decided() const { return aba_->decided(); }
   bool value() const { return aba_->value(); }
-  Tick start_time() const { return start_; }
 
  private:
   void at_deadline();

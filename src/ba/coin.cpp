@@ -4,23 +4,14 @@
 
 namespace bobw {
 
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
-bool IdealCoin::coin(const std::string& instance, int round, int /*party*/) {
+bool IdealCoin::coin(std::uint64_t instance, int round, int /*party*/) {
   if (round == 1) return true;
   if (round == 2) return false;
-  return (mix64(seed_ ^ fnv1a(instance) ^ (static_cast<std::uint64_t>(round) << 32)) & 1) != 0;
+  return (mix64(seed_ ^ instance ^ (static_cast<std::uint64_t>(round) << 32)) & 1) != 0;
 }
 
-bool LocalCoin::coin(const std::string& instance, int round, int party) {
-  return (mix64(seed_ ^ fnv1a(instance) ^ (static_cast<std::uint64_t>(round) << 32) ^
+bool LocalCoin::coin(std::uint64_t instance, int round, int party) {
+  return (mix64(seed_ ^ instance ^ (static_cast<std::uint64_t>(round) << 32) ^
                 (static_cast<std::uint64_t>(party) << 16)) &
           1) != 0;
 }

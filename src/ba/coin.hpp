@@ -14,24 +14,21 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace bobw {
 
 class CoinSource {
  public:
   virtual ~CoinSource() = default;
-  /// The round-r coin for `instance`, as seen by `party`.
-  virtual bool coin(const std::string& instance, int round, int party) = 0;
+  /// The round-r coin for the instance whose route has path hash
+  /// `instance` (RouteTable::path_hash), as seen by `party`.
+  virtual bool coin(std::uint64_t instance, int round, int party) = 0;
 };
-
-/// FNV-1a — deterministic across platforms (std::hash is not guaranteed).
-std::uint64_t fnv1a(const std::string& s);
 
 class IdealCoin : public CoinSource {
  public:
   explicit IdealCoin(std::uint64_t seed) : seed_(seed) {}
-  bool coin(const std::string& instance, int round, int party) override;
+  bool coin(std::uint64_t instance, int round, int party) override;
 
  private:
   std::uint64_t seed_;
@@ -40,7 +37,7 @@ class IdealCoin : public CoinSource {
 class LocalCoin : public CoinSource {
  public:
   explicit LocalCoin(std::uint64_t seed) : seed_(seed) {}
-  bool coin(const std::string& instance, int round, int party) override;
+  bool coin(std::uint64_t instance, int round, int party) override;
 
  private:
   std::uint64_t seed_;

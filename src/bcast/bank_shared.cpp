@@ -79,8 +79,8 @@ Payload BankCache::canonical(Bytes&& encoded) {
 
 // -------------------------------------------------------------- AcastShared ---
 
-std::shared_ptr<AcastShared> AcastShared::get(Party& party, const std::string& id) {
-  return shared<AcastShared>(party, "acast|" + id);
+std::shared_ptr<AcastShared> AcastShared::get(Party& party, RouteId route) {
+  return shared<AcastShared>(party, route);
 }
 
 AcastShared::BatchPtr AcastShared::decode(const Payload& body) {
@@ -368,10 +368,9 @@ void AcastShared::mark_flushed(Cursor& c) {
 
 // ---------------------------------------------------------------- SbaShared ---
 
-std::shared_ptr<SbaShared> SbaShared::get(Party& party, const std::string& id, int K, int n,
-                                          int t) {
-  auto bank = shared<SbaShared>(party, "sba|" + id, K, n, t);
-  // One logical bank <=> one id: every party must agree on its shape.
+std::shared_ptr<SbaShared> SbaShared::get(Party& party, RouteId route, int K, int n, int t) {
+  auto bank = shared<SbaShared>(party, route, K, n, t);
+  // One logical bank <=> one route: every party must agree on its shape.
   assert(bank->K_ == K && bank->n_ == n && bank->t_ == t);
   return bank;
 }

@@ -1,7 +1,7 @@
 // Cross-party shared decode state for the broadcast banks.
 //
-// Protocol instances with the same hierarchical id on different parties are
-// views of ONE logical bank, and almost everything a receiver computes from
+// Protocol instances on the same route on different parties are views of
+// ONE logical bank, and almost everything a receiver computes from
 // a bank message is a pure function of the payload bytes: the decoded batch
 // structure, the value intern, the expansion of an SBA vector to per-slot
 // values, and — because every SBA round result is a pure function of the
@@ -36,7 +36,6 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -63,12 +62,12 @@ class BankCache {
  protected:
   explicit BankCache(Sim& sim) : stats_(&sim.decode_cache_stats()) {}
 
-  /// The per-Sim `Bank` stored under `key`, built from (sim, args...) by
-  /// its first caller.
+  /// The per-Sim `Bank` of the bank instance on `route`, built from
+  /// (sim, args...) by its first caller.
   template <typename Bank, typename... Args>
-  static std::shared_ptr<Bank> shared(Party& party, const std::string& key, Args... args) {
+  static std::shared_ptr<Bank> shared(Party& party, RouteId route, Args... args) {
     Sim& sim = party.sim();
-    return std::static_pointer_cast<Bank>(sim.shared_state(key, [&]() -> std::shared_ptr<void> {
+    return std::static_pointer_cast<Bank>(sim.shared_state(route, [&]() -> std::shared_ptr<void> {
       return std::shared_ptr<Bank>(new Bank(sim, args...));
     }));
   }
@@ -197,9 +196,9 @@ class BankCache {
 // ---------------------------------------------------------------------------
 class AcastShared : public BankCache {
  public:
-  /// The per-Sim instance for the logical bank `id` (the Instance id string,
-  /// identical on every party by construction).
-  static std::shared_ptr<AcastShared> get(Party& party, const std::string& id);
+  /// The per-Sim instance for the logical bank on `route` (identical on
+  /// every party by construction).
+  static std::shared_ptr<AcastShared> get(Party& party, RouteId route);
 
   /// Decoded batch group: like bcwire::AcastGroup but with the value interned
   /// (and unknown sub-types already dropped, mirroring the receiver's skip).
@@ -311,7 +310,7 @@ class AcastShared : public BankCache {
 // ---------------------------------------------------------------------------
 class SbaShared : public BankCache {
  public:
-  static std::shared_ptr<SbaShared> get(Party& party, const std::string& id, int K, int n, int t);
+  static std::shared_ptr<SbaShared> get(Party& party, RouteId route, int K, int n, int t);
 
   using Vids = std::vector<std::uint32_t>;          // per-slot vid, 0 = ⊥
   using VidsPtr = std::shared_ptr<const Vids>;

@@ -96,12 +96,12 @@ Bytes wrap(const Bytes& m) {
 
 // -------------------------------------------------------------- AcastBank ---
 
-AcastBank::AcastBank(Party& party, std::string id, std::vector<int> senders, int t, Tick delta,
+AcastBank::AcastBank(Party& party, const Addr& addr, std::vector<int> senders, int t, Tick delta,
                      Handler on_output)
-    : Instance(party, std::move(id)),
+    : Instance(party, addr),
       delta_(delta),
       on_output_(std::move(on_output)),
-      shared_(AcastShared::get(party, this->id())),
+      shared_(AcastShared::get(party, route())),
       outputs_(senders.size(), AcastShared::kNoVid) {
   shared_->configure(std::move(senders), t, party.n());
   shared_->join(cursor_);
@@ -141,15 +141,15 @@ void AcastBank::on_message(const Msg& m) {
 
 // ---------------------------------------------------------------- SbaBank ---
 
-SbaBank::SbaBank(Party& party, std::string id, int K, const Ctx& ctx, Tick start_time,
+SbaBank::SbaBank(Party& party, const Addr& addr, int K, const Ctx& ctx, Tick start_time,
                  InputProvider input)
-    : Instance(party, std::move(id)),
+    : Instance(party, addr),
       K_(K),
       t_(ctx.ts),
       start_(start_time),
       input_(std::move(input)),
-      shared_(SbaShared::get(party, this->id(), K, party.n(), ctx.ts)) {
-  phases_.resize(static_cast<std::size_t>(num_phases()));
+      shared_(SbaShared::get(party, route(), K, party.n(), ctx.ts)),
+      phases_(static_cast<std::size_t>(num_phases()), PhaseVotes(party.n())) {
   const Tick d = party_.sim().delta();
   at(start_, [this] {
     SbaShared::Vids v(static_cast<std::size_t>(K_), 0);
@@ -169,24 +169,6 @@ SbaBank::SbaBank(Party& party, std::string id, int K, const Ctx& ctx, Tick start
   }
 }
 
-SbaBank::PhaseVotes& SbaBank::phase(int k) {
-  PhaseVotes& ph = phases_[static_cast<std::size_t>(k - 1)];
-  if (ph.seen1.empty()) {
-    const std::size_t words = (static_cast<std::size_t>(n()) + 63) / 64;
-    ph.seen1.assign(words, 0);
-    ph.seen2.assign(words, 0);
-  }
-  return ph;
-}
-
-bool SbaBank::mark_seen(std::vector<std::uint64_t>& mask, int from) {
-  const std::size_t word = static_cast<std::size_t>(from) / 64;
-  const std::uint64_t bit = 1ull << (static_cast<std::size_t>(from) % 64);
-  if (mask[word] & bit) return false;
-  mask[word] |= bit;
-  return true;
-}
-
 void SbaBank::on_message(const Msg& m) {
   const SbaShared::ExpandedPtr exp = shared_->expand(m.body);
   if (!exp->vids) return;  // malformed: dropped wholesale
@@ -195,11 +177,11 @@ void SbaBank::on_message(const Msg& m) {
   PhaseVotes& ph = phase(k);
   switch (m.type) {
     case kVote1:
-      if (!mark_seen(ph.seen1, m.from)) return;
+      if (!ph.seen1.insert(m.from)) return;
       ph.vote1.push_back(exp->vids);
       return;
     case kVote2:
-      if (!mark_seen(ph.seen2, m.from)) return;
+      if (!ph.seen2.insert(m.from)) return;
       ph.vote2.push_back(exp->vids);
       return;
     case kKing:
@@ -228,7 +210,7 @@ void SbaBank::round_b_end(int k) {
 void SbaBank::round_c_end(int k) {
   v_ = shared_->round_c(v_, locked_, phase(k).king);
   // Completed phases never tally late votes; release their vote storage.
-  phases_[static_cast<std::size_t>(k - 1)] = PhaseVotes{};
+  phases_[static_cast<std::size_t>(k - 1)] = PhaseVotes(n());
   done_through_ = k;
   if (k == num_phases()) finished_ = true;
   // Next phase's VOTE1 goes out now (same tick as this round's end).
@@ -237,8 +219,9 @@ void SbaBank::round_c_end(int k) {
 
 // ----------------------------------------------------------------- BcBank ---
 
-BcBank::BcBank(Party& party, const std::string& id, std::vector<Group> groups, const Ctx& ctx)
+BcBank::BcBank(Party& party, const Addr& addr, std::vector<Group> groups, const Ctx& ctx)
     : party_(party), ctx_(ctx) {
+  const RouteId route = party_.sim().routes().resolve(addr);
   assert(!groups.empty());
   groups_.reserve(groups.size());
   bases_.reserve(groups.size());
@@ -282,14 +265,13 @@ BcBank::BcBank(Party& party, const std::string& id, std::vector<Group> groups, c
   }
   wrap_vids_.resize(part_slots_.size());
   acast_ = std::make_unique<AcastBank>(
-      party_, sub_id(id, "acast"), std::move(all_senders), ctx_.ts, ctx_.delta,
+      party_, Addr(route, "acast"), std::move(all_senders), ctx_.ts, ctx_.delta,
       [this](int slot, const Bytes& m) { on_acast(slot, m); });
   const bool multi = part_slots_.size() > 1;
   for (std::size_t p = 0; p < part_slots_.size(); ++p) {
-    const std::string sid =
-        multi ? sub_id(id, "sba" + std::to_string(p)) : sub_id(id, "sba");
     sbas_.push_back(std::make_unique<SbaBank>(
-        party_, sid, static_cast<int>(part_slots_[p].size()), ctx_, part_start[p] + 3 * ctx_.delta,
+        party_, Addr(route, "sba", multi ? static_cast<int>(p) : -1),
+        static_cast<int>(part_slots_[p].size()), ctx_, part_start[p] + 3 * ctx_.delta,
         [this, p](int ls) -> std::uint32_t {
           // Input for the slot's SBA at local time T0+3Δ: current Acast
           // output or ⊥ — exactly ΠBC's input rule, in vid space.
@@ -306,18 +288,9 @@ BcBank::BcBank(Party& party, const std::string& id, std::vector<Group> groups, c
   }
 }
 
-namespace {
-std::vector<BcBank::Group> single_group(std::vector<int> senders, Tick start,
-                                        BcBank::Handler handler) {
-  std::vector<BcBank::Group> gs;
-  gs.push_back(BcBank::Group{std::move(senders), start, std::move(handler)});
-  return gs;
-}
-}  // namespace
-
-BcBank::BcBank(Party& party, const std::string& id, std::vector<int> senders, const Ctx& ctx,
+BcBank::BcBank(Party& party, const Addr& addr, std::vector<int> senders, const Ctx& ctx,
                Tick start_time, Handler handler)
-    : BcBank(party, id, single_group(std::move(senders), start_time, std::move(handler)), ctx) {}
+    : BcBank(party, addr, {Group{std::move(senders), start_time, std::move(handler)}}, ctx) {}
 
 void BcBank::broadcast(int group, int slot, const Bytes& m) {
   acast_->start(

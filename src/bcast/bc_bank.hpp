@@ -66,11 +66,11 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/bcast/bank_shared.hpp"
+#include "src/common/party_set.hpp"
 #include "src/core/timing.hpp"
 #include "src/sim/instance.hpp"
 
@@ -133,7 +133,7 @@ class AcastBank : public Instance {
 
   /// `senders[s]` is the party whose INIT is accepted for slot s. `delta` is
   /// the coalescing window (the network bound Δ).
-  AcastBank(Party& party, std::string id, std::vector<int> senders, int t, Tick delta,
+  AcastBank(Party& party, const Addr& addr, std::vector<int> senders, int t, Tick delta,
             Handler on_output);
 
   /// Sender-side: start broadcasting `m` on `slot`. May be called in any
@@ -187,7 +187,7 @@ class SbaBank : public Instance {
   using InputProvider = std::function<std::uint32_t(int slot)>;
 
   /// `ctx` supplies t (= ctx.ts): t+1 phases, phase k's king is P_{(k−1) mod n}.
-  SbaBank(Party& party, std::string id, int K, const Ctx& ctx, Tick start_time,
+  SbaBank(Party& party, const Addr& addr, int K, const Ctx& ctx, Tick start_time,
           InputProvider input);
 
   /// Output as a vid in the shared intern space; nullopt before the final
@@ -210,16 +210,16 @@ class SbaBank : public Instance {
 
  private:
   struct PhaseVotes {
+    explicit PhaseVotes(int n) : seen1(n), seen2(n) {}
     // Message-level dedupe: the first VOTE1/VOTE2/KING message of a sender
     // for this phase wins wholesale (per-pair instances deduped per sender
     // per instance; honest senders emit exactly one vector per round).
-    std::vector<std::uint64_t> seen1, seen2;
+    PartySet seen1, seen2;
     // Acceptance-ordered expansions — the round-result cache keys.
     std::vector<SbaShared::VidsPtr> vote1, vote2;
     SbaShared::VidsPtr king;  // null until the phase's king speaks
   };
-  PhaseVotes& phase(int k);
-  bool mark_seen(std::vector<std::uint64_t>& mask, int from);
+  PhaseVotes& phase(int k) { return phases_[static_cast<std::size_t>(k - 1)]; }
   int num_phases() const { return t_ + 1; }
   /// Phase k's king: P_{(k−1) mod n}.
   int king(int k) const { return (k - 1) % n(); }
@@ -263,11 +263,14 @@ class BcBank {
 
   /// Mega-bank: one Acast coalescing window and per-distinct-start SBA
   /// schedules over the union of all groups' slots.
-  BcBank(Party& party, const std::string& id, std::vector<Group> groups, const Ctx& ctx);
+  /// The bank is an interior route: its AcastBank lives at addr/acast, its
+  /// SBA schedule at addr/sba (addr/sba:p for schedule p when there are
+  /// several).
+  BcBank(Party& party, const Addr& addr, std::vector<Group> groups, const Ctx& ctx);
 
   /// Single-group convenience (a lone ΠBC, and the own input bank of a ΠBA
   /// built without a parent plane).
-  BcBank(Party& party, const std::string& id, std::vector<int> senders, const Ctx& ctx,
+  BcBank(Party& party, const Addr& addr, std::vector<int> senders, const Ctx& ctx,
          Tick start_time, Handler handler);
 
   /// Sender-side for a group-local slot (receivers ignore INITs from
@@ -275,17 +278,9 @@ class BcBank {
   void broadcast(int group, int slot, const Bytes& m);
   void broadcast(int slot, const Bytes& m) { broadcast(0, slot, m); }
 
-  int groups() const { return static_cast<int>(groups_.size()); }
   int slots(int group) const {
     return static_cast<int>(groups_[static_cast<std::size_t>(group)].senders.size());
   }
-  int slots() const { return slots(0); }
-  int sender(int group, int slot) const {
-    return groups_[static_cast<std::size_t>(group)].senders[static_cast<std::size_t>(slot)];
-  }
-  int sender(int slot) const { return sender(0, slot); }
-  Tick start_time(int group) const { return groups_[static_cast<std::size_t>(group)].start; }
-  Tick start_time() const { return start_time(0); }
   bool regular_decided(int group, int slot) const {
     return groups_[static_cast<std::size_t>(group)].regular_done[static_cast<std::size_t>(slot)] !=
            0;

@@ -4,9 +4,9 @@
 
 namespace bobw {
 
-SyncShareBaseline::SyncShareBaseline(Party& party, std::string id, int dealer, int t,
+SyncShareBaseline::SyncShareBaseline(Party& party, const Addr& addr, int dealer, int t,
                                      Tick base, Handler on_value)
-    : Instance(party, std::move(id)), dealer_(dealer), t_(t), base_(base),
+    : Instance(party, addr), dealer_(dealer), t_(t), base_(base),
       handler_(std::move(on_value)) {
   echoes_.resize(static_cast<std::size_t>(n()));
   const Tick delta = party_.sim().delta();

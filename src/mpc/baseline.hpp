@@ -29,7 +29,7 @@ class SyncShareBaseline : public Instance {
   /// fewer than t+1 shares arrived in time).
   using Handler = std::function<void(const std::optional<Fp>&)>;
 
-  SyncShareBaseline(Party& party, std::string id, int dealer, int t,
+  SyncShareBaseline(Party& party, const Addr& addr, int dealer, int t,
                     Tick base, Handler on_value);
 
   /// Dealer: Shamir-share the secret at the base time.

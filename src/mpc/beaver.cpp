@@ -2,15 +2,16 @@
 
 namespace bobw {
 
-BeaverBatch::BeaverBatch(Party& party, const std::string& id, const Ctx& ctx, Handler on_z_shares)
-    : party_(party), id_(id), ctx_(ctx), handler_(std::move(on_z_shares)) {}
+BeaverBatch::BeaverBatch(Party& party, const Addr& addr, const Ctx& ctx, Handler on_z_shares)
+    : party_(party), route_(party.sim().routes().resolve(addr)), ctx_(ctx),
+      handler_(std::move(on_z_shares)) {}
 
 void BeaverBatch::start(std::vector<BeaverIn> in) {
   if (started_) return;
   started_ = true;
   in_ = std::move(in);
   const int L = static_cast<int>(in_.size());
-  rec_ = std::make_unique<Reconstruct>(party_, sub_id(id_, "open"), 2 * L, ctx_,
+  rec_ = std::make_unique<Reconstruct>(party_, Addr(route_, "open"), 2 * L, ctx_,
                                        [this](const std::vector<Fp>& de) { on_opened(de); });
   std::vector<Fp> masked;
   masked.reserve(static_cast<std::size_t>(2 * L));

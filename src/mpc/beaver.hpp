@@ -24,7 +24,7 @@ class BeaverBatch {
  public:
   using Handler = std::function<void(const std::vector<Fp>&)>;
 
-  BeaverBatch(Party& party, const std::string& id, const Ctx& ctx, Handler on_z_shares);
+  BeaverBatch(Party& party, const Addr& addr, const Ctx& ctx, Handler on_z_shares);
 
   void start(std::vector<BeaverIn> in);
 
@@ -35,7 +35,7 @@ class BeaverBatch {
   void on_opened(const std::vector<Fp>& de);
 
   Party& party_;
-  std::string id_;
+  RouteId route_;
   Ctx ctx_;
   Handler handler_;
   std::vector<BeaverIn> in_;

@@ -2,9 +2,9 @@
 
 namespace bobw {
 
-CirEval::CirEval(Party& party, std::string id, const Circuit& cir, Fp my_input,
+CirEval::CirEval(Party& party, const Addr& addr, const Circuit& cir, Fp my_input,
                  const Ctx& ctx, Tick base, Handler on_output)
-    : Instance(party, std::move(id)),
+    : Instance(party, addr),
       cir_(cir),
       my_input_(my_input),
       ctx_(ctx),
@@ -13,13 +13,13 @@ CirEval::CirEval(Party& party, std::string id, const Circuit& cir, Fp my_input,
   wire_.resize(static_cast<std::size_t>(cir_.num_wires()));
   input_shares_.assign(static_cast<std::size_t>(ctx_.n), Fp(0));
 
-  acs_ = std::make_unique<Acs>(party_, sub_id(this->id(), "in"), 1, ctx_, base_,
+  acs_ = std::make_unique<Acs>(party_, Addr(route(), "in"), 1, ctx_, base_,
                                Acs::CsRule::kAllOnes,
                                [this](const Acs::Output& o) { on_inputs(o); });
   acs_->set_input({Poly::random_with_secret(ctx_.ts, my_input_, party_.rng())});
 
   const int cm = std::max(1, cir_.mult_count());
-  prep_ = std::make_unique<Preprocess>(party_, sub_id(this->id(), "prep"), ctx_, base_, cm,
+  prep_ = std::make_unique<Preprocess>(party_, Addr(route(), "prep"), ctx_, base_, cm,
                                        [this](const std::vector<TripleShare>& t) { on_triples(t); });
   prep_->deal();
 }
@@ -83,7 +83,7 @@ void CirEval::sweep() {
     next_triple_ += static_cast<int>(batch.size());
     mul_in_flight_ = true;
     muls_.push_back(std::make_unique<BeaverBatch>(
-        party_, sub_id(id(), "mul:" + std::to_string(mul_round_++)), ctx_,
+        party_, Addr(route(), "mul", mul_round_++), ctx_,
         [this, batch_gates](const std::vector<Fp>& z) { on_mul_layer(batch_gates, z); }));
     muls_.back()->start(std::move(batch));
     return;
@@ -98,7 +98,7 @@ void CirEval::sweep() {
     }
     out_started_ = true;
     out_rec_ = std::make_unique<Reconstruct>(
-        party_, sub_id(id(), "out"), static_cast<int>(out_shares.size()), ctx_,
+        party_, Addr(route(), "out"), static_cast<int>(out_shares.size()), ctx_,
         [this](const std::vector<Fp>& y) { on_y_opened(y); });
     out_rec_->start(out_shares);
   }

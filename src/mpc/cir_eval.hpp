@@ -33,7 +33,7 @@ class CirEval : public Instance {
   /// single-element case).
   using Handler = std::function<void(const std::vector<Fp>&)>;
 
-  CirEval(Party& party, std::string id, const Circuit& cir, Fp my_input,
+  CirEval(Party& party, const Addr& addr, const Circuit& cir, Fp my_input,
           const Ctx& ctx, Tick base, Handler on_output);
 
   bool terminated() const { return terminated_; }

@@ -4,18 +4,19 @@
 
 namespace bobw {
 
-Preprocess::Preprocess(Party& party, const std::string& id, const Ctx& ctx, Tick base,
+Preprocess::Preprocess(Party& party, const Addr& addr, const Ctx& ctx, Tick base,
                        int c_m, Handler on_triples)
-    : party_(party), id_(id), ctx_(ctx), base_(base), c_m_(c_m),
+    : party_(party), route_(party.sim().routes().resolve(addr)), ctx_(ctx), base_(base),
+      c_m_(c_m),
       // d is fixed by |CS| = n − ts (the first-(n−ts) rule).
       d_((ctx.n - ctx.ts - 1) / 2),
       // L = ⌈c_M / (d+1−ts)⌉; d+1−ts > 0 since n > 3ts.
       L_((c_m + d_ - ctx.ts) / (d_ + 1 - ctx.ts)),
       handler_(std::move(on_triples)),
-      vote_(party, id, ctx, base + ctx.T.t_tripsh, SubsetVote::Rule::kFirstNMinusTs,
+      vote_(party, route_, ctx, base + ctx.T.t_tripsh, SubsetVote::Rule::kFirstNMinusTs,
             [this](int j) {
               tripsh_.push_back(std::make_unique<TripSh>(
-                  party_, sub_id(id_, "tsh:" + std::to_string(j)), j, L_, ctx_, base_,
+                  party_, Addr(route_, "tsh", j), j, L_, ctx_, base_,
                   [this, j](const std::vector<TripleShare>&) {
                     vote_.vote_one(j);
                     maybe_extract();
@@ -44,7 +45,7 @@ void Preprocess::maybe_extract() {
   ext_.resize(static_cast<std::size_t>(L_));
   for (int l = 0; l < L_; ++l) {
     ext_[static_cast<std::size_t>(l)] = std::make_unique<TripExt>(
-        party_, sub_id(id_, "ext:" + std::to_string(l)), ctx_, d_, grid,
+        party_, Addr(route_, "ext", l), ctx_, d_, grid,
         [this](const std::vector<TripleShare>&) {
           ++ext_done_;
           on_extract_done();

@@ -24,7 +24,7 @@ class Preprocess {
  public:
   using Handler = std::function<void(const std::vector<TripleShare>&)>;
 
-  Preprocess(Party& party, const std::string& id, const Ctx& ctx, Tick base,
+  Preprocess(Party& party, const Addr& addr, const Ctx& ctx, Tick base,
              int c_m, Handler on_triples);
 
   /// Honest parties call this to act as a triple dealer (usually right at
@@ -42,7 +42,7 @@ class Preprocess {
   void on_extract_done();
 
   Party& party_;
-  std::string id_;
+  RouteId route_;
   Ctx ctx_;
   Tick base_;
   int c_m_, d_, L_;

@@ -4,8 +4,8 @@
 
 namespace bobw {
 
-Reconstruct::Reconstruct(Party& party, std::string id, int L, const Ctx& ctx, Handler on_values)
-    : Instance(party, std::move(id)), L_(L), ctx_(ctx), on_values_(std::move(on_values)) {
+Reconstruct::Reconstruct(Party& party, const Addr& addr, int L, const Ctx& ctx, Handler on_values)
+    : Instance(party, addr), L_(L), ctx_(ctx), on_values_(std::move(on_values)) {
   seen_.assign(static_cast<std::size_t>(n()), 0);
   bank_ = std::make_unique<OecBank>(ctx_.ts, ctx_.ts, L_);
 }

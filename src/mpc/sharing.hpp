@@ -27,7 +27,7 @@ class Reconstruct : public Instance {
  public:
   using Handler = std::function<void(const std::vector<Fp>&)>;
 
-  Reconstruct(Party& party, std::string id, int L, const Ctx& ctx, Handler on_values);
+  Reconstruct(Party& party, const Addr& addr, int L, const Ctx& ctx, Handler on_values);
 
   /// Contribute this party's L shares (starts the exchange).
   void start(const std::vector<Fp>& my_shares);

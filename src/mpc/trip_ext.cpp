@@ -2,11 +2,11 @@
 
 namespace bobw {
 
-TripExt::TripExt(Party& party, const std::string& id, const Ctx& ctx, int d,
+TripExt::TripExt(Party& party, const Addr& addr, const Ctx& ctx, int d,
                  std::vector<Fp> grid, Handler on_out)
     : party_(party), ctx_(ctx), d_(d), handler_(std::move(on_out)) {
   tt_ = std::make_unique<TripTrans>(
-      party_, sub_id(id, "tt"), ctx_, d_, std::move(grid),
+      party_, Addr(party.sim().routes().resolve(addr), "tt"), ctx_, d_, std::move(grid),
       [this](const std::vector<TripleShare>&) {
         const int count = d_ + 1 - ctx_.ts;
         out_.reserve(static_cast<std::size_t>(count));

@@ -21,7 +21,7 @@ class TripExt {
   using Handler = std::function<void(const std::vector<TripleShare>&)>;
 
   /// `grid`: the 2d+1 evaluation points α_j of the contributing parties.
-  TripExt(Party& party, const std::string& id, const Ctx& ctx, int d,
+  TripExt(Party& party, const Addr& addr, const Ctx& ctx, int d,
           std::vector<Fp> grid, Handler on_out);
 
   void start(std::vector<TripleShare> in);

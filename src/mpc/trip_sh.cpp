@@ -2,14 +2,15 @@
 
 namespace bobw {
 
-TripSh::TripSh(Party& party, const std::string& id, int dealer, int L, const Ctx& ctx,
+TripSh::TripSh(Party& party, const Addr& addr, int dealer, int L, const Ctx& ctx,
                Tick base, Handler on_triples)
-    : party_(party), id_(id), dealer_(dealer), L_(L), ctx_(ctx), base_(base),
+    : party_(party), route_(party.sim().routes().resolve(addr)), dealer_(dealer), L_(L),
+      ctx_(ctx), base_(base),
       handler_(std::move(on_triples)) {
   const int batch = 2 * ctx_.ts + 1;
-  vss_ = std::make_unique<Vss>(party_, sub_id(id_, "vss"), dealer_, 3 * L_ * batch, ctx_, base_,
+  vss_ = std::make_unique<Vss>(party_, Addr(route_, "vss"), dealer_, 3 * L_ * batch, ctx_, base_,
                                [this](const std::vector<Fp>& sh) { on_vss_shares(sh); });
-  acs_ = std::make_unique<Acs>(party_, sub_id(id_, "acs"), 3 * L_, ctx_, base_,
+  acs_ = std::make_unique<Acs>(party_, Addr(route_, "acs"), 3 * L_, ctx_, base_,
                                Acs::CsRule::kAllOnes,
                                [this](const Acs::Output& out) { on_acs_output(out); });
   // Honest parties contribute random verification triples.
@@ -65,7 +66,7 @@ void TripSh::maybe_transform() {
   tt_.resize(static_cast<std::size_t>(L_));
   for (int l = 0; l < L_; ++l) {
     tt_[static_cast<std::size_t>(l)] = std::make_unique<TripTrans>(
-        party_, sub_id(id_, "tt:" + std::to_string(l)), ctx_, ctx_.ts, grid,
+        party_, Addr(route_, "tt", l), ctx_, ctx_.ts, grid,
         [this](const std::vector<TripleShare>&) {
           ++tt_done_;
           on_transform_done();
@@ -104,7 +105,7 @@ void TripSh::start_verification() {
     bv.push_back(b);
   }
   recompute_ = std::make_unique<BeaverBatch>(
-      party_, sub_id(id_, "recmp"), ctx_, [this](const std::vector<Fp>& z) {
+      party_, Addr(route_, "recmp"), ctx_, [this](const std::vector<Fp>& z) {
         zbar_ = z;
         // γ = recomputed − Z(α_j); open all of them.
         std::vector<Fp> gsh;
@@ -114,7 +115,7 @@ void TripSh::start_verification() {
           gsh.push_back(zbar_[k] - tt_[static_cast<std::size_t>(l)]->z_at(alpha(j)));
         }
         gamma_rec_ = std::make_unique<Reconstruct>(
-            party_, sub_id(id_, "gamma"), static_cast<int>(sup_.size()), ctx_,
+            party_, Addr(route_, "gamma"), static_cast<int>(sup_.size()), ctx_,
             [this](const std::vector<Fp>& g) { on_gamma(g); });
         gamma_rec_->start(gsh);
       });
@@ -139,7 +140,7 @@ void TripSh::on_gamma(const std::vector<Fp>& gammas) {
     ssh.push_back(tt.z_at(alpha(j)));
   }
   suspect_rec_ = std::make_unique<Reconstruct>(
-      party_, sub_id(id_, "suspect"), static_cast<int>(ssh.size()), ctx_,
+      party_, Addr(route_, "suspect"), static_cast<int>(ssh.size()), ctx_,
       [this](const std::vector<Fp>& vals) { on_suspects_opened(vals); });
   suspect_rec_->start(ssh);
 }

@@ -30,7 +30,7 @@ class TripSh {
 
   /// Every party constructs the session; honest parties automatically
   /// contribute random verification triples to the embedded ΠACS.
-  TripSh(Party& party, const std::string& id, int dealer, int L, const Ctx& ctx,
+  TripSh(Party& party, const Addr& addr, int dealer, int L, const Ctx& ctx,
          Tick base, Handler on_triples);
 
   /// Dealer-side: pick L(2ts+1) random multiplication triples and share them.
@@ -56,7 +56,7 @@ class TripSh {
   void finalize(bool exposed);
 
   Party& party_;
-  std::string id_;
+  RouteId route_;
   int dealer_, L_;
   Ctx ctx_;
   Tick base_;

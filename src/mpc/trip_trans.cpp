@@ -4,10 +4,10 @@
 
 namespace bobw {
 
-TripTrans::TripTrans(Party& party, const std::string& id, const Ctx& ctx, int d,
+TripTrans::TripTrans(Party& party, const Addr& addr, const Ctx& ctx, int d,
                      std::vector<Fp> grid, Handler on_out)
-    : party_(party), id_(id), ctx_(ctx), d_(d), grid_(std::move(grid)),
-      handler_(std::move(on_out)) {
+    : party_(party), route_(party.sim().routes().resolve(addr)), ctx_(ctx), d_(d),
+      grid_(std::move(grid)), handler_(std::move(on_out)) {
   assert(static_cast<int>(grid_.size()) == 2 * d_ + 1);
   base_ps_ = pointset(std::vector<Fp>(grid_.begin(), grid_.begin() + d_ + 1));
   grid_ps_ = pointset(grid_);
@@ -45,7 +45,7 @@ void TripTrans::start(std::vector<TripleShare> in) {
     if (handler_) handler_(out_);
     return;
   }
-  beaver_ = std::make_unique<BeaverBatch>(party_, sub_id(id_, "beaver"), ctx_,
+  beaver_ = std::make_unique<BeaverBatch>(party_, Addr(route_, "beaver"), ctx_,
                                           [this](const std::vector<Fp>& z) {
                                             for (int k = d_ + 1; k <= 2 * d_; ++k)
                                               out_[static_cast<std::size_t>(k)].c =

@@ -25,7 +25,7 @@ class TripTrans {
   using Handler = std::function<void(const std::vector<TripleShare>&)>;
 
   /// `grid` must contain 2d+1 distinct points.
-  TripTrans(Party& party, const std::string& id, const Ctx& ctx, int d,
+  TripTrans(Party& party, const Addr& addr, const Ctx& ctx, int d,
             std::vector<Fp> grid, Handler on_out);
 
   void start(std::vector<TripleShare> in);
@@ -41,7 +41,7 @@ class TripTrans {
 
  private:
   Party& party_;
-  std::string id_;
+  RouteId route_;
   Ctx ctx_;
   int d_;
   std::vector<Fp> grid_;

@@ -34,8 +34,8 @@ class Adversary {
   const std::set<int>& corrupt_set() const { return corrupt_; }
 
   /// Called by Sim's constructor: gives targeted adversaries (and tests) the
-  /// intern table to resolve a message's RouteId back to the hierarchical
-  /// instance id it was addressed to.
+  /// route table to resolve a message's RouteId back to the name of the
+  /// instance it was addressed to (e.g. "mpc/in/vss:2/plane/acast").
   void bind_routes(const RouteTable* routes) { routes_ = routes; }
   const std::string& route_name(const Msg& m) const {
     static const std::string unbound;

@@ -2,8 +2,8 @@
 
 namespace bobw {
 
-Instance::Instance(Party& party, std::string id)
-    : party_(party), id_(std::move(id)), route_(party.sim().routes().intern(id_)) {
+Instance::Instance(Party& party, const Addr& addr)
+    : party_(party), route_(party.sim().routes().resolve(addr)) {
   party_.register_instance(this);
 }
 

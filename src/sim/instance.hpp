@@ -1,11 +1,14 @@
-// Base class for protocol instances. An instance interns its hierarchical
-// string id into a dense RouteId at construction (the string survives as the
-// debug name), registers itself under that route and receives every message
-// addressed to it.
+// Base class for protocol instances. An instance is a leaf of the protocol
+// tree: it resolves its Addr (a root name, or a child segment of its
+// parent's route) to a RouteId once, at construction, registers itself on
+// its party under that route and receives every message addressed to it.
+// Its children are named under route(); composites that are not instances
+// (BcBank, Ba, TripSh, ...) resolve their own Addr to an interior route and
+// build their children under it the same way. The route's name lives in
+// Sim::routes(), for debug output and adversaries only.
 #pragma once
 
 #include <functional>
-#include <string>
 #include <utility>
 
 #include "src/sim/party.hpp"
@@ -14,13 +17,12 @@ namespace bobw {
 
 class Instance {
  public:
-  Instance(Party& party, std::string id);
+  Instance(Party& party, const Addr& addr);
   virtual ~Instance();
 
   Instance(const Instance&) = delete;
   Instance& operator=(const Instance&) = delete;
 
-  const std::string& id() const { return id_; }
   RouteId route() const { return route_; }
   Party& party() { return party_; }
   int self() const { return party_.id(); }
@@ -47,13 +49,7 @@ class Instance {
   Party& party_;
 
  private:
-  std::string id_;
   RouteId route_;
 };
-
-/// Child id helper: parent "vss:2" + "wps:5" -> "vss:2/wps:5".
-inline std::string sub_id(const std::string& parent, const std::string& child) {
-  return parent + "/" + child;
-}
 
 }  // namespace bobw

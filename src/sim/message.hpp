@@ -1,7 +1,7 @@
-// Network message. Every protocol message is addressed to an interned
-// RouteId (resolved from the instance's hierarchical string id once, at
-// registration — see src/sim/route.hpp) plus a small integer type understood
-// by that instance. The body is a copy-on-write shared payload so that
+// Network message. Every protocol message is addressed to a RouteId (the
+// instance's typed route, resolved once at construction — see
+// src/sim/route.hpp) plus a small integer type understood by that
+// instance. The body is a copy-on-write shared payload so that
 // "send to all parties" allocates the bytes once for n recipients.
 #pragma once
 

@@ -1,9 +1,9 @@
 // Party and Sim: the runtime that hosts protocol instances.
 //
-// A Sim owns n parties, the event queue, the route intern table, the delay
-// model, the adversary and the metrics. A Party owns a registry of protocol
+// A Sim owns n parties, the event queue, the route table, the delay model,
+// the adversary and the metrics. A Party owns a registry of protocol
 // Instances addressed by dense RouteIds (dispatch is a flat vector index —
-// the hierarchical string ids live in Sim::routes() as debug names);
+// the route names live in Sim::routes() as debug names);
 // messages for instances that have not registered yet are buffered and
 // flushed on registration (asynchronous protocols may receive messages
 // "from the future" of their local schedule).
@@ -59,14 +59,15 @@ class Party {
   }
 
   /// Send a point-to-point message over the pairwise channel. The fast path
-  /// used by every Instance: the route was interned once at registration.
+  /// used by every Instance: the route was resolved once at construction.
   void send(int to, RouteId route, int type, Payload body);
   /// Send to every party, self included (the paper's "send to all parties").
   /// The payload is allocated once and shared by all n in-flight copies.
   void send_all(RouteId route, int type, Payload body);
 
-  /// Convenience overloads that intern `inst` per call — test scaffolding and
-  /// ad-hoc traffic only; protocol code sends through its Instance route.
+  /// Convenience overloads that intern the root route `inst` per call — test
+  /// scaffolding and ad-hoc traffic only; protocol code sends through its
+  /// Instance route.
   void send(int to, const std::string& inst, int type, Bytes body);
   void send_all(const std::string& inst, int type, const Bytes& body);
 
@@ -153,28 +154,29 @@ class Sim {
   };
   DecodeCacheStats& decode_cache_stats() { return cache_stats_; }
 
-  /// Cross-party shared-state registry. Protocol instances with the same
-  /// hierarchical id on different parties are views of ONE logical protocol
-  /// object; state whose content is a pure function of received payloads
-  /// (decode caches, value intern tables) can therefore be computed once per
-  /// Sim and shared. `make` runs only for the first caller of a key. The
-  /// returned object must do its own internal locking: window-executor
-  /// worker threads reach it concurrently.
-  std::shared_ptr<void> shared_state(const std::string& key,
+  /// Cross-party shared-state registry, one slot per route. Protocol
+  /// instances on the same route on different parties are views of ONE
+  /// logical protocol object; state whose content is a pure function of
+  /// received payloads (decode caches, value intern tables) can therefore be
+  /// computed once per Sim and shared. `make` runs only for the first caller
+  /// of a route. The returned object must do its own internal locking:
+  /// window-executor worker threads reach it concurrently.
+  std::shared_ptr<void> shared_state(RouteId route,
                                      const std::function<std::shared_ptr<void>()>& make) {
     std::lock_guard<std::mutex> lock(shared_mu_);
-    auto& slot = shared_[key];
+    if (shared_.size() <= route) shared_.resize(route + 1);
+    auto& slot = shared_[route];
     if (!slot) slot = make();
     return slot;
   }
 
-  /// Registered shared-state keys, insertion-order-free snapshot (bench
+  /// Names of the routes holding shared state, in route order (bench
   /// introspection: counting the banks serving one sharing).
   std::vector<std::string> shared_state_keys() const {
     std::lock_guard<std::mutex> lock(shared_mu_);
     std::vector<std::string> keys;
-    keys.reserve(shared_.size());
-    for (const auto& [k, v] : shared_) keys.push_back(k);
+    for (RouteId r = 0; r < shared_.size(); ++r)
+      if (shared_[r]) keys.push_back(routes_.name(r));
     return keys;
   }
 
@@ -192,7 +194,7 @@ class Sim {
   std::vector<std::unique_ptr<Party>> parties_;
   std::unique_ptr<WindowExecutor> exec_;  // non-null iff threads > 1
   mutable std::mutex shared_mu_;
-  std::unordered_map<std::string, std::shared_ptr<void>> shared_;
+  std::vector<std::shared_ptr<void>> shared_;  // indexed by RouteId
   DecodeCacheStats cache_stats_;
 };
 

@@ -7,9 +7,9 @@
 
 namespace bobw {
 
-StarCore::StarCore(Party& party, std::string id, int dealer, int L, const Ctx& ctx, Tick base,
+StarCore::StarCore(Party& party, const Addr& addr, int dealer, int L, const Ctx& ctx, Tick base,
                    Handler on_shares)
-    : Instance(party, std::move(id)),
+    : Instance(party, addr),
       dealer_(dealer),
       L_(L),
       ctx_(ctx),
@@ -22,7 +22,7 @@ void StarCore::attach(BcBank& bank, planelayout::StarGroups groups, Tick ok_star
   bank_ = &bank;
   groups_ = groups;
   const Tick accept_time = ok_start + 2 * ctx_.T.t_bc;
-  ba_ = std::make_unique<Ba>(party_, sub_id(id(), "ba"), ctx_, accept_time,
+  ba_ = std::make_unique<Ba>(party_, Addr(route(), "ba"), ctx_, accept_time,
                              [this](bool b) { on_ba(b); }, bank_, groups_[planelayout::kBa]);
   if (self() == dealer_) {
     at(ok_start + ctx_.T.t_bc, [this] { dealer_find_wef(); });
@@ -137,9 +137,14 @@ void StarCore::maybe_broadcast_verdict(int j) {
   if (!rows_valid_ || !values_from(j) || verdict_broadcast_[static_cast<std::size_t>(j)]) return;
   verdict_broadcast_[static_cast<std::size_t>(j)] = 1;
   // The verdict depends only on the rows and values_from(j), both final
-  // now; taking it here lets a ΠWPS release its kept payload at once.
-  at(next_multiple(now(), ctx_.delta), [this, j, v = verdict_on(j)] {
-    bank_->broadcast(groups_[planelayout::kOk], self() * n() + j, wire::encode_verdict(v));
+  // now; taking it here lets a ΠWPS release its kept payload at once. It
+  // waits in its slot, so the timer's closure stays allocation-free.
+  if (!taken_) taken_ = std::make_unique<wire::Verdict[]>(static_cast<std::size_t>(n()));
+  taken_[static_cast<std::size_t>(j)] = verdict_on(j);
+  at(next_multiple(now(), ctx_.delta), [this, j] {
+    bank_->broadcast(groups_[planelayout::kOk], self() * n() + j,
+                     wire::encode_verdict(taken_[static_cast<std::size_t>(j)]));
+    if (++verdicts_sent_ == n()) taken_.reset();
   });
 }
 

@@ -33,7 +33,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "src/ba/ba.hpp"
@@ -81,7 +80,7 @@ class StarCore : public Instance {
   const VerdictState& verdicts() const { return verdicts_; }
 
  protected:
-  StarCore(Party& party, std::string id, int dealer, int L, const Ctx& ctx, Tick base,
+  StarCore(Party& party, const Addr& addr, int dealer, int L, const Ctx& ctx, Tick base,
            Handler on_shares);
 
   /// Connects the four layers to `groups` of `bank` (whose ok group starts
@@ -143,6 +142,10 @@ class StarCore : public Instance {
   // consistency graphs.
   VerdictState verdicts_;
   std::vector<char> verdict_broadcast_;  // have I broadcast my verdict on Pj?
+  // taken_[j]: my verdict on Pj, from when it is taken to its broadcast;
+  // released once all n are out.
+  std::unique_ptr<wire::Verdict[]> taken_;
+  int verdicts_sent_ = 0;
 
   BcBank* bank_ = nullptr;
   planelayout::StarGroups groups_{};

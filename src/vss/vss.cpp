@@ -4,9 +4,9 @@
 
 namespace bobw {
 
-Vss::Vss(Party& party, std::string id, int dealer, int L, const Ctx& ctx,
+Vss::Vss(Party& party, const Addr& addr, int dealer, int L, const Ctx& ctx,
          Tick base, Handler on_shares)
-    : StarCore(party, std::move(id), dealer, L, ctx, base, std::move(on_shares)),
+    : StarCore(party, addr, dealer, L, ctx, base, std::move(on_shares)),
       wsh_(static_cast<std::size_t>(party.n())) {
   const int nn = n();
   // One schedule plane for the whole sharing: every broadcast/BA layer of
@@ -22,7 +22,7 @@ Vss::Vss(Party& party, std::string id, int dealer, int L, const Ctx& ctx,
       to.on_layer(o.layer, slot, v, fb);
     };
   }
-  plane_ = std::make_unique<BcBank>(party_, sub_id(this->id(), "plane"), std::move(groups), ctx_);
+  plane_ = std::make_unique<BcBank>(party_, Addr(route(), "plane"), std::move(groups), ctx_);
 
   // Second layer: one ΠWPS per party, scheduled at B+Δ, each sending its
   // ok verdicts, wef/★₂ broadcasts and ΠBA inputs through its groups of the
@@ -30,7 +30,7 @@ Vss::Vss(Party& party, std::string id, int dealer, int L, const Ctx& ctx,
   wps_.resize(static_cast<std::size_t>(nn));
   for (int j = 0; j < nn; ++j) {
     wps_[static_cast<std::size_t>(j)] = std::make_unique<Wps>(
-        party_, sub_id(this->id(), "wps:" + std::to_string(j)), j, L_, ctx_, base_ + ctx_.delta,
+        party_, Addr(route(), "wps", j), j, L_, ctx_, base_ + ctx_.delta,
         [this, j](const std::vector<Fp>& sh) {
           wsh_[static_cast<std::size_t>(j)] = sh;
           on_wps_share(j);

@@ -37,7 +37,7 @@ class Vss : public StarCore {
   /// Builds the sharing's schedule plane, the n child ΠWPS instances (dealer
   /// j, base B+Δ) on it, and attaches its own four layers to the plane's
   /// dealer groups.
-  Vss(Party& party, std::string id, int dealer, int L, const Ctx& ctx,
+  Vss(Party& party, const Addr& addr, int dealer, int L, const Ctx& ctx,
       Tick base, Handler on_shares);
 
   /// Dealer-side, fully adversarial (fault injection).

@@ -2,9 +2,9 @@
 
 namespace bobw {
 
-Wps::Wps(Party& party, std::string id, int dealer, int L, const Ctx& ctx, Tick base,
+Wps::Wps(Party& party, const Addr& addr, int dealer, int L, const Ctx& ctx, Tick base,
          Handler on_shares, BcBank* plane, planelayout::StarGroups groups)
-    : StarCore(party, std::move(id), dealer, L, ctx, base, std::move(on_shares)),
+    : StarCore(party, addr, dealer, L, ctx, base, std::move(on_shares)),
       pts_(static_cast<std::size_t>(party.n())) {
   const Tick ok_start = base_ + 2 * ctx_.delta;
   if (!plane) {
@@ -17,7 +17,7 @@ Wps::Wps(Party& party, std::string id, int dealer, int L, const Ctx& ctx, Tick b
             on_layer(layer, slot, v, fb);
           }));
     }
-    own_plane_ = std::make_unique<BcBank>(party_, sub_id(this->id(), "plane"), std::move(own), ctx_);
+    own_plane_ = std::make_unique<BcBank>(party_, Addr(route(), "plane"), std::move(own), ctx_);
     plane = own_plane_.get();
     groups = planelayout::kOwnGroups;
   }

@@ -33,7 +33,7 @@ class Wps : public StarCore {
   /// bank plus this child's group indices, and its group handlers forward
   /// into on_layer(). Verdicts broadcast at T0 = base+2Δ, wef at T0+T_BC,
   /// BA inputs at T0+2T_BC, ★₂ at T0+2T_BC+T_BA.
-  Wps(Party& party, std::string id, int dealer, int L, const Ctx& ctx, Tick base,
+  Wps(Party& party, const Addr& addr, int dealer, int L, const Ctx& ctx, Tick base,
       Handler on_shares, BcBank* plane = nullptr,
       planelayout::StarGroups groups = planelayout::kOwnGroups);
 

@@ -315,8 +315,7 @@ class GridEquivocator : public Adversary {
   bool participates(int) const override { return true; }
   bool filter_outgoing(Msg& m, Rng&) override {
     const std::string& r = route_name(m);
-    if (m.type == Acast::kInit && !m.body.empty() && r.size() >= 6 &&
-        r.compare(r.size() - 6, 6, "/acast") == 0)
+    if (m.type == Acast::kInit && !m.body.empty() && r.ends_with("/acast"))
       m.body.mutable_bytes()[0] = static_cast<std::uint8_t>(m.to & 1);
     return true;
   }
@@ -329,8 +328,7 @@ class BankEquivocator : public Adversary {
   bool participates(int) const override { return true; }
   bool filter_outgoing(Msg& m, Rng&) override {
     const std::string& r = route_name(m);
-    if (m.type != AcastBank::kBatch || r.size() < 6 || r.compare(r.size() - 6, 6, "/acast") != 0)
-      return true;
+    if (m.type != AcastBank::kBatch || !r.ends_with("/acast")) return true;
     auto groups = bcwire::decode_acast_batch(m.body);
     bool changed = false;
     for (auto& g : groups) {
@@ -857,15 +855,11 @@ TEST(VssSchedulePlane, CrispSyncExactlyMatchesPerChildWiring) {
   wp.sim->run();
   plane.capture_finals(wp);
   const auto plane_msgs = wp.sim->metrics().honest_msgs();
-  int plane_acasts = 0, plane_sbas = 0;
-  for (const auto& k : wp.sim->shared_state_keys()) {
-    if (k.rfind("acast|", 0) == 0) ++plane_acasts;
-    if (k.rfind("sba|", 0) == 0) ++plane_sbas;
-  }
+  const test::BankCount plane_banks = test::count_banks(*wp.sim);
   // The whole sharing rides ONE Acast window and one SBA schedule per
   // distinct layer start time — seven, independent of n.
-  EXPECT_EQ(plane_acasts, 1);
-  EXPECT_EQ(plane_sbas, 7);
+  EXPECT_EQ(plane_banks.acast, 1);
+  EXPECT_EQ(plane_banks.sba, 7);
 
   auto wl = make_world(n, ts, 0, NetMode::kSynchronous);
   LegacyPlanesRun legacy(wl, 0);
@@ -873,13 +867,9 @@ TEST(VssSchedulePlane, CrispSyncExactlyMatchesPerChildWiring) {
   wl.sim->run();
   legacy.capture_finals(wl);
   const auto legacy_msgs = wl.sim->metrics().honest_msgs();
-  int legacy_acasts = 0, legacy_sbas = 0;
-  for (const auto& k : wl.sim->shared_state_keys()) {
-    if (k.rfind("acast|", 0) == 0) ++legacy_acasts;
-    if (k.rfind("sba|", 0) == 0) ++legacy_sbas;
-  }
-  EXPECT_EQ(legacy_acasts, 4 * n + 4);
-  EXPECT_EQ(legacy_sbas, 4 * n + 4);
+  const test::BankCount legacy_banks = test::count_banks(*wl.sim);
+  EXPECT_EQ(legacy_banks.acast, 4 * n + 4);
+  EXPECT_EQ(legacy_banks.sba, 4 * n + 4);
 
   expect_identical(plane.rec, legacy.rec, n, plane_total_slots(n), "plane-crisp");
   EXPECT_GE(legacy_msgs, 2 * plane_msgs) << legacy_msgs << " vs " << plane_msgs;

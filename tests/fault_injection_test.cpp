@@ -3,6 +3,8 @@
 // Theorem 7.1: honest agreement and correctness w.r.t. the CS inputs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "src/bcast/bc_bank.hpp"
 #include "src/core/runner.hpp"
 #include "src/mpc/cir_eval.hpp"
@@ -116,36 +118,50 @@ TEST(FaultInjection, TerminationGadgetResistsWrongReady) {
 /// NOK-spammer: turns every OK verdict broadcast into a bogus NOK.
 class NokSpammer : public Adversary {
  public:
+  explicit NokSpammer(int n) : ok_slots_(static_cast<std::uint32_t>((n + 1) * n * n)) {}
   bool participates(int) const override { return true; }
   bool filter_outgoing(Msg& m, Rng& rng) override {
-    // Verdict broadcasts ride the ok-grid's slot-multiplexed bank: instance
-    // ids end in "/ok/acast" and every batch group's value for an INIT entry
-    // is a verdict encoding. Garble the OK ones into NOKs with random values.
-    const std::string& route = route_name(m);
-    if (m.type != AcastBank::kBatch || route.size() < 9 ||
-        route.compare(route.size() - 9, 9, "/ok/acast") != 0)
-      return true;
-    auto groups = bcwire::decode_acast_batch(m.body);
+    // Verdicts ride the ACast bank of a sharing's schedule plane
+    // (".../plane/acast"), whose first (n+1)·n² slots are the n child ok
+    // grids and the dealer's (src/vss/plane.hpp). An OK verdict is the INIT
+    // value {1}; re-send those slots' OKs as NOKs with a random value.
+    if (m.type != AcastBank::kBatch || !route_name(m).ends_with("/plane/acast")) return true;
+    std::vector<bcwire::AcastGroup> out;
     bool changed = false;
-    for (auto& g : groups) {
-      if (g.type != AcastBank::kInit || g.value.size() != 1 || g.value[0] != 1) continue;
-      wire::Verdict v;
-      v.ok = false;
-      v.nok_index = 0;
-      v.nok_value = Fp(rng.next_u64() % Fp::kP);
-      g.value = wire::encode_verdict(v);
-      changed = true;
+    for (auto& g : bcwire::decode_acast_batch(m.body)) {
+      if (g.type == AcastBank::kInit && g.value == Bytes{1}) {
+        auto grid_end = std::stable_partition(g.slots.begin(), g.slots.end(),
+                                              [this](std::uint32_t s) { return s < ok_slots_; });
+        if (grid_end != g.slots.begin()) {
+          wire::Verdict v;
+          v.ok = false;
+          v.nok_value = Fp(rng.next_u64() % Fp::kP);
+          out.push_back({AcastBank::kInit, wire::encode_verdict(v), {g.slots.begin(), grid_end}});
+          g.slots.erase(g.slots.begin(), grid_end);
+          changed = true;
+        }
+      }
+      if (!g.slots.empty()) out.push_back(std::move(g));
     }
-    if (changed) m.body = bcwire::encode_acast_batch(groups);
+    if (!changed) return true;
+    m.body = bcwire::encode_acast_batch(out);
+    ++rewritten_;
     return true;
   }
+  int rewritten() const { return rewritten_; }
+
+ private:
+  std::uint32_t ok_slots_;
+  int rewritten_ = 0;
 };
 
 TEST(FaultInjection, NokSpammerCannotBreakSharing) {
   for (std::uint64_t seed = 1; seed <= 2; ++seed) {
-    auto adv = std::make_shared<NokSpammer>();
+    auto adv = std::make_shared<NokSpammer>(4);
     adv->corrupt(2);
     expect_invariants(adv, NetMode::kSynchronous, seed);
+    // The spammer must actually have lied, or the invariants say nothing.
+    EXPECT_GT(adv->rewritten(), 0) << "seed " << seed;
   }
 }
 

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <memory>
+#include <string_view>
 #include <vector>
 
 #include "src/ba/coin.hpp"
@@ -55,6 +56,23 @@ inline std::shared_ptr<Adversary> crash(std::initializer_list<int> corrupt) {
   auto a = std::make_shared<CrashAdversary>();
   for (int c : corrupt) a->corrupt(c);
   return a;
+}
+
+/// Banks holding cross-party state (Sim::shared_state) on routes whose name
+/// contains `within`: ACast banks (".../acast") and SBA schedules
+/// (".../sba" or ".../sba:p").
+struct BankCount {
+  int acast = 0, sba = 0;
+};
+inline BankCount count_banks(const Sim& sim, std::string_view within = "") {
+  BankCount c;
+  for (const std::string& name : sim.shared_state_keys()) {
+    if (name.find(within) == std::string::npos) continue;
+    const std::string_view last = std::string_view(name).substr(name.rfind('/') + 1);
+    if (last == "acast") ++c.acast;
+    if (last == "sba" || last.rfind("sba:", 0) == 0) ++c.sba;
+  }
+  return c;
 }
 
 }  // namespace bobw::test

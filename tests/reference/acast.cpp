@@ -2,8 +2,8 @@
 
 namespace bobw {
 
-Acast::Acast(Party& party, std::string id, int sender, int t, Handler on_output)
-    : Instance(party, std::move(id)), sender_(sender), t_(t), on_output_(std::move(on_output)) {}
+Acast::Acast(Party& party, const Addr& addr, int sender, int t, Handler on_output)
+    : Instance(party, addr), sender_(sender), t_(t), on_output_(std::move(on_output)) {}
 
 void Acast::start(const Bytes& m) { send_all(kInit, m); }
 

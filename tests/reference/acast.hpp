@@ -22,7 +22,7 @@ class Acast : public Instance {
   using Handler = std::function<void(const Bytes&)>;
 
   /// `on_output` fires exactly once, when this party accepts the value.
-  Acast(Party& party, std::string id, int sender, int t, Handler on_output);
+  Acast(Party& party, const Addr& addr, int sender, int t, Handler on_output);
 
   /// Invoked at the sender to start broadcasting.
   void start(const Bytes& m);

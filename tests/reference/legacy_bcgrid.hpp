@@ -27,17 +27,18 @@ class Bc {
  public:
   using Handler = std::function<void(const std::optional<Bytes>& value, bool fallback)>;
 
-  Bc(Party& party, const std::string& id, int sender, const Ctx& ctx,
+  Bc(Party& party, const Addr& addr, int sender, const Ctx& ctx,
      Tick start_time, Handler handler)
       : party_(party),
         sender_(sender),
         ctx_(ctx),
         start_(start_time),
         handler_(std::move(handler)) {
-    acast_ = std::make_unique<Acast>(party_, sub_id(id, "acast"), sender_, ctx_.ts,
+    const RouteId route = party_.sim().routes().resolve(addr);
+    acast_ = std::make_unique<Acast>(party_, Addr(route, "acast"), sender_, ctx_.ts,
                                      [this](const Bytes& m) { on_acast(m); });
     sba_ = std::make_unique<PhaseKing>(
-        party_, sub_id(id, "sba"), ctx_.ts, start_ + 3 * ctx_.delta,
+        party_, Addr(route, "sba"), ctx_.ts, start_ + 3 * ctx_.delta,
         [this]() -> Bytes {
           return acast_->output() ? wrap(*acast_->output()) : Bytes{};
         },

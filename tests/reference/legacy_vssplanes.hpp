@@ -15,7 +15,6 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "src/bcast/bc_bank.hpp"
@@ -32,13 +31,14 @@ class Planes {
   using Handler =
       std::function<void(int group, int slot, const std::optional<Bytes>& value, bool fallback)>;
 
-  Planes(Party& party, const std::string& id, int dealer, const Ctx& ctx, Tick vss_base,
+  Planes(Party& party, const Addr& addr, int dealer, const Ctx& ctx, Tick vss_base,
          Handler handler) {
+    const RouteId route = party.sim().routes().resolve(addr);
     auto groups = planelayout::sharing_plane_groups(party.n(), dealer, vss_base, ctx,
                                                     std::move(handler));
     banks_.reserve(groups.size());
     for (std::size_t g = 0; g < groups.size(); ++g)
-      banks_.push_back(std::make_unique<BcBank>(party, sub_id(id, std::to_string(g)),
+      banks_.push_back(std::make_unique<BcBank>(party, Addr(route, "g", static_cast<int>(g)),
                                                 std::move(groups[g].senders), ctx,
                                                 groups[g].start, std::move(groups[g].handler)));
   }

@@ -23,9 +23,9 @@ bool decode_phase_value(const Bytes& body, int& k, Bytes& v) {
 }
 }  // namespace
 
-PhaseKing::PhaseKing(Party& party, std::string id, int t, Tick start_time,
+PhaseKing::PhaseKing(Party& party, const Addr& addr, int t, Tick start_time,
                      InputProvider input, Handler on_output)
-    : Instance(party, std::move(id)),
+    : Instance(party, addr),
       t_(t),
       start_(start_time),
       input_(std::move(input)),

@@ -35,7 +35,7 @@ class PhaseKing : public Instance {
   /// All parties construct the instance with the publicly known
   /// `start_time`; the input is fetched from `input` exactly at start_time
   /// (ΠBC computes it from the Acast output at that moment).
-  PhaseKing(Party& party, std::string id, int t, Tick start_time,
+  PhaseKing(Party& party, const Addr& addr, int t, Tick start_time,
             InputProvider input, Handler on_output);
 
   static Tick duration(int t, Tick delta) { return 3 * static_cast<Tick>(t + 1) * delta; }

@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <functional>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <unordered_map>
 
+#include "src/mpc/cir_eval.hpp"
 #include "src/sim/instance.hpp"
 #include "src/sim/network.hpp"
 #include "tests/harness.hpp"
@@ -416,6 +420,92 @@ TEST(Sim, DeterministicAcrossRuns) {
     return order;
   };
   EXPECT_EQ(run_once(), run_once());
+}
+
+// ---- RouteTable: typed routes ----------------------------------------------
+
+TEST(RouteTable, ChildrenExtendTheParentNameAndAreIdempotent) {
+  RouteTable t;
+  const RouteId root = t.intern("mpc");
+  const RouteId prep = t.child(root, "prep");
+  const RouteId tsh = t.child(prep, "tsh", 3);
+  EXPECT_EQ(t.name(prep), "mpc/prep");
+  EXPECT_EQ(t.name(tsh), "mpc/prep/tsh:3");
+  EXPECT_EQ(t.child(prep, "tsh", 3), tsh);
+  EXPECT_EQ(t.resolve(Addr(prep, "tsh", 3)), tsh);
+  EXPECT_EQ(t.resolve("mpc"), root);
+  EXPECT_NE(t.child(prep, "tsh"), tsh);
+  EXPECT_NE(t.child(prep, "tsh", 4), tsh);
+  EXPECT_EQ(t.size(), 5u);
+  // A child inherits its root's label; a root's label ends at its first '/'.
+  EXPECT_EQ(t.label_of(tsh), t.label_of(root));
+  EXPECT_EQ(t.label_name(t.label_of(tsh)), "mpc");
+  EXPECT_EQ(t.label_name(t.label_of(t.intern("proto:x/sub"))), "proto:x");
+  for (RouteId r = 0; r < t.size(); ++r) EXPECT_EQ(t.path_hash(r), fnv1a(t.name(r))) << r;
+}
+
+TEST(RouteTable, EveryRouteOfACirEvalRunIsItsParentsChild) {
+  const int n = 4;
+  auto w = make_world(n, 1, 0, NetMode::kSynchronous);
+  const Circuit cir = circuits::pairwise_sums_product(n);
+  std::vector<std::unique_ptr<CirEval>> evals;
+  int outputs = 0;
+  for (int i = 0; i < n; ++i)
+    evals.push_back(std::make_unique<CirEval>(
+        w.party(i), "mpc", cir, Fp(static_cast<std::uint64_t>(i + 1)), w.ctx, 0,
+        [&outputs](const std::vector<Fp>&) { ++outputs; }));
+  w.sim->run();
+  ASSERT_EQ(outputs, n);
+
+  RouteTable& routes = w.sim->routes();
+  const std::size_t size = routes.size();
+  ASSERT_GT(size, 500u);
+  std::unordered_map<std::string, RouteId> by_name;
+  for (RouteId r = 0; r < size; ++r) by_name.emplace(routes.name(r), r);
+  ASSERT_EQ(by_name.size(), size) << "two routes share a name";
+  for (RouteId r = 0; r < size; ++r) {
+    const std::string& name = routes.name(r);
+    EXPECT_EQ(routes.path_hash(r), fnv1a(name)) << name;
+    const std::size_t slash = name.rfind('/');
+    if (slash == std::string::npos) {
+      EXPECT_EQ(name, "mpc");
+      continue;
+    }
+    // name = parent + "/kind" or parent + "/kind:index", and the parent is
+    // itself a route (an instance or an interior node).
+    const auto parent = by_name.find(name.substr(0, slash));
+    ASSERT_NE(parent, by_name.end()) << name;
+    const std::string seg = name.substr(slash + 1);
+    const std::size_t colon = seg.find(':');
+    const int index = colon == std::string::npos ? -1 : std::stoi(seg.substr(colon + 1));
+    EXPECT_EQ(routes.child(parent->second, seg.substr(0, colon), index), r) << name;
+  }
+  EXPECT_EQ(routes.size(), size);  // every lookup above found an existing route
+}
+
+TEST(RouteTable, ConcurrentChildGivesOneIdPerKey) {
+  RouteTable t;
+  const RouteId root = t.intern("race");
+  constexpr int kThreads = 4, kKeys = 64;
+  std::vector<std::vector<RouteId>> got(kThreads, std::vector<RouteId>(kKeys));
+  std::vector<std::thread> threads;
+  for (int th = 0; th < kThreads; ++th)
+    threads.emplace_back([&t, &got, root, th] {
+      // Every thread resolves every key, starting at a different offset, so
+      // the threads race on first sight of overlapping keys.
+      for (int k = 0; k < kKeys; ++k) {
+        const int key = (k + 16 * th) % kKeys;
+        got[static_cast<std::size_t>(th)][static_cast<std::size_t>(key)] =
+            t.child(t.child(root, "a", key % 8), "b", key);
+      }
+    });
+  for (auto& th : threads) th.join();
+  for (int th = 1; th < kThreads; ++th) EXPECT_EQ(got[static_cast<std::size_t>(th)], got[0]);
+  EXPECT_EQ(std::set<RouteId>(got[0].begin(), got[0].end()).size(), std::size_t{kKeys});
+  EXPECT_EQ(t.size(), std::size_t{1 + 8 + kKeys});
+  for (int key = 0; key < kKeys; ++key)
+    EXPECT_EQ(t.name(got[0][static_cast<std::size_t>(key)]),
+              "race/a:" + std::to_string(key % 8) + "/b:" + std::to_string(key));
 }
 
 }  // namespace

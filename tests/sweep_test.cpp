@@ -257,13 +257,9 @@ TEST(VssSweep64, HonestDealerSharesAtDeadline) {
   }
   // One sharing, one shared Acast state for EVERY broadcast/BA layer (the
   // schedule plane), not 196, and seven SBA schedules, not 197.
-  int planes = 0, sba_schedules = 0;
-  for (const auto& k : w.sim->shared_state_keys()) {
-    if (k.rfind("acast|", 0) == 0 && k.find("/plane/") != std::string::npos) ++planes;
-    if (k.rfind("sba|", 0) == 0 && k.find("/plane/") != std::string::npos) ++sba_schedules;
-  }
-  EXPECT_EQ(planes, 1);
-  EXPECT_EQ(sba_schedules, 7);
+  const test::BankCount plane = test::count_banks(*w.sim, "/plane/");
+  EXPECT_EQ(plane.acast, 1);
+  EXPECT_EQ(plane.sba, 7);
 }
 
 // ---- Reconstruct over batch sizes and thresholds --------------------------

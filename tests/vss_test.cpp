@@ -9,6 +9,8 @@ namespace bobw {
 namespace {
 
 using test::make_world;
+using test::BankCount;
+using test::count_banks;
 
 // ------------------------------------------------------------------ ΠWPS --
 
@@ -224,19 +226,10 @@ TEST(Wps, StandaloneRidesOnePlane) {
   auto qs = random_inputs(L, ts, rng);
   w.party(0).at(0, [&] { run.inst[0]->deal(qs); });
   w.sim->run();
-  int acast = 0, sba = 0, stray = 0;
-  for (const auto& k : w.sim->shared_state_keys()) {
-    const bool is_acast = k.rfind("acast|", 0) == 0, is_sba = k.rfind("sba|", 0) == 0;
-    if (!is_acast && !is_sba) continue;
-    if (k.find("|wps/plane/") == std::string::npos) {
-      ++stray;
-      continue;
-    }
-    ++(is_acast ? acast : sba);
-  }
-  EXPECT_EQ(acast, 1);
-  EXPECT_EQ(sba, 4);
-  EXPECT_EQ(stray, 0);
+  const BankCount all = count_banks(*w.sim), plane = count_banks(*w.sim, "wps/plane/");
+  EXPECT_EQ(plane.acast, 1);
+  EXPECT_EQ(plane.sba, 4);
+  EXPECT_EQ(all.acast + all.sba - plane.acast - plane.sba, 0);  // no stray bank
   for (int i = 0; i < n; ++i) {
     ASSERT_TRUE(run.inst[static_cast<std::size_t>(i)]->has_output()) << i;
     EXPECT_EQ(run.inst[static_cast<std::size_t>(i)]->shares()[0], qs[0].eval(alpha(i)));
@@ -297,18 +290,11 @@ TEST(Vss, OneSchedulePlanePerSharing) {
   auto qs = random_inputs(L, ts, rng);
   w.party(0).at(0, [&] { run.inst[0]->deal(qs); });
   w.sim->run();
-  int planes = 0, sba_schedules = 0, stray = 0;
-  for (const auto& k : w.sim->shared_state_keys()) {
-    if (k.rfind("acast|", 0) == 0 && k.find("/plane/") != std::string::npos) ++planes;
-    if (k.rfind("sba|", 0) == 0 && k.find("/plane/") != std::string::npos) ++sba_schedules;
-    // No Vss sub-instance may own a private wef/star2/ok/BA-input bank.
-    if (k.rfind("acast|", 0) == 0 && k.find("/plane/") == std::string::npos &&
-        k.find("vss/") != std::string::npos)
-      ++stray;
-  }
-  EXPECT_EQ(planes, 1);
-  EXPECT_EQ(sba_schedules, 7);
-  EXPECT_EQ(stray, 0);
+  const BankCount plane = count_banks(*w.sim, "/plane/");
+  EXPECT_EQ(plane.acast, 1);
+  EXPECT_EQ(plane.sba, 7);
+  // No Vss sub-instance may own a private wef/star2/ok/BA-input bank.
+  EXPECT_EQ(count_banks(*w.sim, "vss/").acast - plane.acast, 0);
   for (int i = 0; i < n; ++i) ASSERT_TRUE(run.inst[static_cast<std::size_t>(i)]->has_output());
   // Cross-party decode-cache accounting (src/bcast/bank_shared.*): every
   // lookup is counted once, so these pin where the banks count a hit or miss.
