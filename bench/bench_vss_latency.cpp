@@ -89,9 +89,10 @@ BigSample run_vss_big(int n, int threads, std::uint64_t seed) {
   BigSample s;
   s.wall_ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
   for (char f : done) s.outputs += f;
-  const test::BankCount plane = test::count_banks(*w.sim, "/plane/");
-  s.plane_acasts = plane.acast;
-  s.sba_schedules = plane.sba;
+  // The sharing's Acast state lives under its plane; its SBA schedules are
+  // the party's run-wide ones, one per start tick (plane/sba:T).
+  s.plane_acasts = test::count_banks(*w.sim, "/plane/").acast;
+  s.sba_schedules = test::count_banks(*w.sim, "plane/sba").sba;
   s.msgs = static_cast<double>(w.sim->metrics().honest_msgs());
   const auto& cs = w.sim->decode_cache_stats();
   const double hits = static_cast<double>(cs.hits.load());
@@ -103,8 +104,8 @@ BigSample run_vss_big(int n, int threads, std::uint64_t seed) {
 /// Transport-only same-binary comparison over EVERY broadcast/BA layer of a
 /// sharing: the full plane traffic — ok grids, per-child and ΠVSS wef/★₂
 /// broadcasts, ΠBA input bits — through the 4n+4-group schedule plane (one
-/// Acast window, seven SBA schedules) vs every group on its own bank (4n+4
-/// Acast windows and 4n+4 SBA schedules,
+/// Acast window, seven run-wide SBA schedules) vs every group on its own
+/// bank with a private schedule (4n+4 Acast windows and 4n+4 SBA schedules,
 /// tests/reference/legacy_vssplanes.hpp).
 /// Identical bytes, identical Ctx; the quotient is the schedule-sharing win.
 double run_plane_transport(int n, bool shared, std::uint64_t seed) {

@@ -35,9 +35,11 @@ class Ba {
   /// `bc_bank`/`bc_group` — an n-slot group (slot j = Pj's bit, sender Pj,
   /// start = start_time) on the parent's bank — and installs a group handler
   /// forwarding into on_input_bc(); the instance then only *sends* through
-  /// the shared bank. The ΠABA stays per-instance either way. `addr` is an
-  /// interior route: the ΠABA lives at addr/aba, a standalone bank at
-  /// addr/bc.
+  /// the shared bank. Either way the bank's SBA rides the party's run-wide
+  /// schedule for start_time + 3Δ, with every other ΠBA input bank of the
+  /// same start (the n ΠBAs of a ΠACS vote share one), while the ΠABA stays
+  /// per-instance. `addr` is an interior route: the ΠABA lives at addr/aba,
+  /// a standalone bank at addr/bc.
   Ba(Party& party, const Addr& addr, const Ctx& ctx, Tick start_time, Handler on_decide,
      BcBank* bc_bank = nullptr, int bc_group = 0);
 

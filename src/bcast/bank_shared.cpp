@@ -4,6 +4,7 @@
 #include <cassert>
 #include <deque>
 #include <map>
+#include <stdexcept>
 #include <utility>
 
 #include "src/bcast/bc_bank.hpp"
@@ -28,13 +29,19 @@ struct Tally {
   int count = 0;
 };
 
-void add_tally(std::vector<Tally>& t, std::uint32_t vid) {
-  for (Tally& e : t)
-    if (e.vid == vid) {
-      ++e.count;
-      return;
-    }
-  t.push_back(Tally{vid, 1});
+/// Slot s's distinct values and their support over `votes`, into `t`
+/// (cleared first). Both round rules break ties by value, so the entry
+/// order does not matter.
+void tally_slot(std::vector<Tally>& t, const std::vector<SbaShared::VidsPtr>& votes, int s) {
+  t.clear();
+  for (const auto& vote : votes) {
+    const std::uint32_t vid = (*vote)[static_cast<std::size_t>(s)];
+    auto it = std::find_if(t.begin(), t.end(), [vid](const Tally& e) { return e.vid == vid; });
+    if (it != t.end())
+      ++it->count;
+    else
+      t.push_back(Tally{vid, 1});
+  }
 }
 
 }  // namespace
@@ -370,8 +377,11 @@ void AcastShared::mark_flushed(Cursor& c) {
 
 std::shared_ptr<SbaShared> SbaShared::get(Party& party, RouteId route, int K, int n, int t) {
   auto bank = shared<SbaShared>(party, route, K, n, t);
-  // One logical bank <=> one route: every party must agree on its shape.
-  assert(bank->K_ == K && bank->n_ == n && bank->t_ == t);
+  // One logical bank <=> one route: every party must agree on its shape. A
+  // run-wide schedule whose parties enrolled different seats would misread
+  // every slot, so this holds in every build.
+  if (bank->K_ != K || bank->n_ != n || bank->t_ != t)
+    throw std::logic_error("SbaShared: parties disagree on a schedule's K, n or t");
   return bank;
 }
 
@@ -415,18 +425,17 @@ SbaShared::ExpandedPtr SbaShared::expand(const Payload& body) {
 
 SbaShared::VidsPtr SbaShared::round_a(const std::vector<VidsPtr>& vote1) {
   return memoized(round_a_, [&] {
-    std::vector<std::vector<Tally>> tallies(static_cast<std::size_t>(K_));
-    for (const auto& exp : vote1)
-      for (int s = 0; s < K_; ++s)
-        add_tally(tallies[static_cast<std::size_t>(s)], (*exp)[static_cast<std::size_t>(s)]);
     // Per slot: a non-⊥ value with support >= n−t becomes the proposal (at
     // most one value can reach n−t with t < n/3; the lexicographic tie-break
     // mirrors the per-pair std::map iteration order).
     Vids proposal(static_cast<std::size_t>(K_), 0);
+    std::vector<Tally> tally;  // one slot's, reused: at most n entries
+    tally.reserve(vote1.size());
     for (int s = 0; s < K_; ++s) {
+      tally_slot(tally, vote1, s);
       std::uint32_t best = 0;
       bool found = false;
-      for (const Tally& t : tallies[static_cast<std::size_t>(s)]) {
+      for (const Tally& t : tally) {
         if (t.vid == 0 || t.count < n_ - t_) continue;
         if (!found || value_less(t.vid, best)) {
           best = t.vid;
@@ -443,19 +452,18 @@ std::shared_ptr<const SbaShared::BResult> SbaShared::round_b(const VidsPtr& prio
                                                              const std::vector<VidsPtr>& vote2) {
   assert(prior);
   return memoized(round_b_, [&] {
-    std::vector<std::vector<Tally>> tallies(static_cast<std::size_t>(K_));
-    for (const auto& exp : vote2)
-      for (int s = 0; s < K_; ++s)
-        add_tally(tallies[static_cast<std::size_t>(s)], (*exp)[static_cast<std::size_t>(s)]);
     auto res = std::make_shared<BResult>();
     Vids v(static_cast<std::size_t>(K_), 0);
     auto locked = std::make_shared<Flags>(static_cast<std::size_t>(K_), 0);
+    std::vector<Tally> tally;
+    tally.reserve(vote2.size());
     for (int s = 0; s < K_; ++s) {
       const auto us = static_cast<std::size_t>(s);
+      tally_slot(tally, vote2, s);
       // Most supported non-⊥ proposal; ties -> lexicographically smaller value.
       std::uint32_t best = 0;
       int best_c = 0;
-      for (const Tally& t : tallies[us]) {
+      for (const Tally& t : tally) {
         if (t.vid == 0) continue;
         if (t.count > best_c || (t.count == best_c && best_c > 0 && value_less(t.vid, best))) {
           best = t.vid;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+#include <stdexcept>
 
 namespace bobw {
 
@@ -141,35 +143,66 @@ void AcastBank::on_message(const Msg& m) {
 
 // ---------------------------------------------------------------- SbaBank ---
 
-SbaBank::SbaBank(Party& party, const Addr& addr, int K, const Ctx& ctx, Tick start_time,
-                 InputProvider input)
+SbaBank& SbaBank::at_tick(Party& party, Tick start_time, const Ctx& ctx) {
+  if (start_time > static_cast<Tick>(std::numeric_limits<int>::max()))
+    throw std::out_of_range("SbaBank: start tick beyond the route index range");
+  const Addr addr(party.sim().routes().intern("plane"), "sba", static_cast<int>(start_time));
+  if (auto* found = dynamic_cast<SbaBank*>(party.instance(party.sim().routes().resolve(addr)))) {
+    if (found->t_ != ctx.ts) throw std::logic_error("SbaBank: banks disagree on t");
+    return *found;
+  }
+  auto sba = std::make_shared<SbaBank>(party, addr, ctx, start_time);
+  party.own(sba);
+  return *sba;
+}
+
+SbaBank::SbaBank(Party& party, const Addr& addr, const Ctx& ctx, Tick start_time)
     : Instance(party, addr),
-      K_(K),
       t_(ctx.ts),
-      start_(start_time),
-      input_(std::move(input)),
-      shared_(SbaShared::get(party, route(), K, party.n(), ctx.ts)),
       phases_(static_cast<std::size_t>(num_phases()), PhaseVotes(party.n())) {
   const Tick d = party_.sim().delta();
-  at(start_, [this] {
-    SbaShared::Vids v(static_cast<std::size_t>(K_), 0);
-    if (input_)
-      for (int s = 0; s < K_; ++s) v[static_cast<std::size_t>(s)] = input_(s);
-    // Content-interned: every party with the same inputs (all of them, in a
-    // crisp honest round) feeds the SAME pointer into the phase-1 round
-    // caches, so round_b's prior-keyed result is computed once, not n times.
-    v_ = shared_->canonical_vids(std::move(v));
-    send_vector(kVote1, 1, v_);
-  });
+  at(start_time, [this] { begin(); });
   for (int k = 1; k <= num_phases(); ++k) {
-    const Tick base = start_ + 3 * static_cast<Tick>(k - 1) * d;
+    const Tick base = start_time + 3 * static_cast<Tick>(k - 1) * d;
     at(base + d, [this, k] { round_a_end(k); });
     at(base + 2 * d, [this, k] { round_b_end(k); });
     at(base + 3 * d, [this, k] { round_c_end(k); });
   }
 }
 
+int SbaBank::enroll(RouteId key, int slots, InputProvider input) {
+  if (shared_) throw std::logic_error("SbaBank: enrollment after the start tick");
+  seats_.push_back(Seat{key, slots, std::move(input), 0});
+  return static_cast<int>(seats_.size()) - 1;
+}
+
+void SbaBank::begin() {
+  // Key order, not enrollment order: the layout is the same on every party.
+  std::vector<Seat*> order;
+  order.reserve(seats_.size());
+  for (Seat& seat : seats_) order.push_back(&seat);
+  std::sort(order.begin(), order.end(),
+            [](const Seat* a, const Seat* b) { return a->key < b->key; });
+  int K = 0;
+  for (Seat* seat : order) {
+    seat->offset = K;
+    K += seat->slots;
+  }
+  shared_ = SbaShared::get(party_, route(), K, n(), t_);
+  SbaShared::Vids v(static_cast<std::size_t>(K), 0);
+  for (const Seat& seat : seats_)
+    if (seat.input)
+      for (int s = 0; s < seat.slots; ++s)
+        v[static_cast<std::size_t>(seat.offset + s)] = seat.input(s);
+  // Content-interned: every party with the same inputs (all of them, in a
+  // crisp honest round) feeds the SAME pointer into the phase-1 round
+  // caches, so round_b's prior-keyed result is computed once, not n times.
+  v_ = shared_->canonical_vids(std::move(v));
+  send_vector(kVote1, 1, v_);
+}
+
 void SbaBank::on_message(const Msg& m) {
+  if (!shared_) return;  // before the start tick: dropped (see the header)
   const SbaShared::ExpandedPtr exp = shared_->expand(m.body);
   if (!exp->vids) return;  // malformed: dropped wholesale
   const int k = static_cast<int>(exp->k);
@@ -225,7 +258,6 @@ BcBank::BcBank(Party& party, const Addr& addr, std::vector<Group> groups, const 
   assert(!groups.empty());
   groups_.reserve(groups.size());
   bases_.reserve(groups.size());
-  part_slots_.reserve(groups.size());  // at most one schedule per group
   std::size_t base = 0;
   for (Group& g : groups) {
     GroupState gs;
@@ -245,40 +277,30 @@ BcBank::BcBank(Party& party, const Addr& addr, std::vector<Group> groups, const 
     bases_.push_back(gs.base);
     all_senders.insert(all_senders.end(), gs.senders.begin(), gs.senders.end());
   }
-  // SBA schedules: one per distinct group start, first-appearance order
-  // (equal-start groups — a sharing's n child grids — share one schedule).
-  std::vector<Tick> part_start;
-  part_start.reserve(groups_.size());
+  // One part per distinct group start, first-appearance order (equal-start
+  // groups — a sharing's n child grids — share one seat).
   for (GroupState& gs : groups_) {
-    int p = -1;
-    for (std::size_t i = 0; i < part_start.size(); ++i)
-      if (part_start[i] == gs.start) p = static_cast<int>(i);
-    if (p < 0) {
-      p = static_cast<int>(part_start.size());
-      part_start.push_back(gs.start);
-      part_slots_.emplace_back();
-    }
-    gs.sba = p;
-    gs.sba_base = part_slots_[static_cast<std::size_t>(p)].size();
-    for (std::size_t s = 0; s < gs.senders.size(); ++s)
-      part_slots_[static_cast<std::size_t>(p)].push_back(gs.base + s);
+    auto it = std::find_if(parts_.begin(), parts_.end(),
+                           [&gs](const Part& p) { return p.start == gs.start; });
+    if (it == parts_.end()) it = parts_.insert(parts_.end(), Part{gs.start, nullptr, 0, {}, {}});
+    gs.part = static_cast<int>(it - parts_.begin());
+    gs.part_base = it->slots.size();
+    for (std::size_t s = 0; s < gs.senders.size(); ++s) it->slots.push_back(gs.base + s);
   }
-  wrap_vids_.resize(part_slots_.size());
   acast_ = std::make_unique<AcastBank>(
       party_, Addr(route, "acast"), std::move(all_senders), ctx_.ts, ctx_.delta,
       [this](int slot, const Bytes& m) { on_acast(slot, m); });
-  const bool multi = part_slots_.size() > 1;
-  for (std::size_t p = 0; p < part_slots_.size(); ++p) {
-    sbas_.push_back(std::make_unique<SbaBank>(
-        party_, Addr(route, "sba", multi ? static_cast<int>(p) : -1),
-        static_cast<int>(part_slots_[p].size()), ctx_, part_start[p] + 3 * ctx_.delta,
-        [this, p](int ls) -> std::uint32_t {
+  for (std::size_t p = 0; p < parts_.size(); ++p) {
+    Part& part = parts_[p];
+    part.sba = &SbaBank::at_tick(party_, part.start + 3 * ctx_.delta, ctx_);
+    part.seat = part.sba->enroll(
+        route, static_cast<int>(part.slots.size()), [this, p](int ls) -> std::uint32_t {
           // Input for the slot's SBA at local time T0+3Δ: current Acast
           // output or ⊥ — exactly ΠBC's input rule, in vid space.
-          const auto global = static_cast<int>(part_slots_[p][static_cast<std::size_t>(ls)]);
+          const auto global = static_cast<int>(parts_[p].slots[static_cast<std::size_t>(ls)]);
           const auto avid = acast_->output_vid(global);
           return avid ? wrap_vid(static_cast<int>(p), *avid) : 0;
-        }));
+        });
   }
   for (std::size_t g = 0; g < groups_.size(); ++g) {
     party_.at(groups_[g].start + ctx_.T.t_bc, [this, g] {
@@ -306,12 +328,11 @@ int BcBank::group_of(std::size_t global_slot) const {
 }
 
 std::uint32_t BcBank::wrap_vid(int part, std::uint32_t acast_vid) {
-  auto& memo = wrap_vids_[static_cast<std::size_t>(part)];
-  auto it = memo.find(acast_vid);
-  if (it != memo.end()) return it->second;
-  const std::uint32_t w =
-      sbas_[static_cast<std::size_t>(part)]->intern_input(wrap(acast_->value(acast_vid)));
-  memo.emplace(acast_vid, w);
+  Part& p = parts_[static_cast<std::size_t>(part)];
+  auto it = p.wrap_vids.find(acast_vid);
+  if (it != p.wrap_vids.end()) return it->second;
+  const std::uint32_t w = p.sba->intern_input(wrap(acast_->value(acast_vid)));
+  p.wrap_vids.emplace(acast_vid, w);
   return w;
 }
 
@@ -325,9 +346,9 @@ void BcBank::decide_regular(int group, int slot) {
   gs.regular_done[us] = 1;
   const auto global = static_cast<int>(gs.base + us);
   const auto avid = acast_->output_vid(global);
-  const auto svid =
-      sbas_[static_cast<std::size_t>(gs.sba)]->output_vid(static_cast<int>(gs.sba_base + us));
-  if (avid && svid && *svid == wrap_vid(gs.sba, *avid)) {
+  const Part& part = parts_[static_cast<std::size_t>(gs.part)];
+  const auto svid = part.sba->output_vid(part.seat, static_cast<int>(gs.part_base + us));
+  if (avid && svid && *svid == wrap_vid(gs.part, *avid)) {
     gs.regular[us] = *avid;
     gs.current[us] = *avid;
   }

@@ -38,13 +38,16 @@
 //    round-crisp schedule is unchanged; mid-window arrivals wait for the
 //    boundary, which still meets every 3Δ Acast deadline because the flush
 //    boundary is exactly the worst-case arrival bound.
-//  * SbaBank runs ONE shared phase-king schedule per distinct group start
-//    time whose per-round send_all carries the vector of all K slot values
-//    (encoded as value-groups + a default value, so K near-identical
-//    verdicts cost O(1) values on the wire). Groups with equal start times
-//    share a schedule regardless of position: a ΠVSS sharing has seven
-//    distinct layer start times, so it needs exactly seven SBA schedules —
-//    independent of n — where one bank per group would pay 4n+4.
+//  * SbaBank runs ONE phase-king schedule per party per distinct SBA start
+//    tick of the whole run, whose per-round send_all carries the vector of
+//    all K slot values (encoded as value-groups + a default value, so K
+//    near-identical verdicts cost O(1) values on the wire). Every bank of
+//    the run takes one seat per distinct group start on the schedule of
+//    that tick: a ΠVSS sharing has seven distinct layer start times, so it
+//    needs exactly seven SBA schedules — independent of n — where one bank
+//    per group would pay 4n+4; and the input ΠACS's n sharings, the n
+//    ΠTripSh and their n² inner sharings start together, so a whole
+//    ΠCirEval run needs only as many schedules as it has distinct starts.
 //  * BcBank composes the two and exposes per-(group, slot) broadcast() and
 //    the per-slot ΠBC handler.
 //
@@ -57,7 +60,7 @@
 //
 // Grid message count drops from O(K·n²) + O(K·n·t) per Δ-window to O(n) per
 // Δ-window: each party sends at most one coalesced Acast batch per window
-// and one SBA vector per round per schedule. The pre-bank per-pair path is
+// and one SBA vector per round per start tick. The pre-bank per-pair path is
 // frozen in tests/reference/legacy_bcgrid.hpp (over the one-instance Acast
 // and PhaseKing beside it) and the one-bank-per-group VSS wiring in
 // tests/reference/legacy_vssplanes.hpp, for same-binary differentials.
@@ -177,31 +180,46 @@ class AcastBank : public Instance {
 };
 
 // ---------------------------------------------------------------------------
-// SbaBank — K phase-king SBA instances on one shared round schedule.
+// SbaBank — one party's phase-king SBA schedule: every slot enrolled with it
+// runs on the same 3(t+1) rounds.
+//
+// The schedule is run-wide. Each ΠBC bank whose SBA starts at tick T enrolls
+// its slots with the party's ONE schedule for T, at route plane/sba:T
+// (SbaBank::at_tick). Enrollment must come before T. At T the schedule lays
+// the seats out in key order (the enrolling bank's RouteId, the same on
+// every party whatever order the banks were built in), fixes K, reads every
+// slot's input and sends the first K-slot vote vector. A message that
+// reaches the schedule before T is dropped: K is not yet fixed, and honest
+// parties send nothing before T (a delivery takes at least one tick).
 // ---------------------------------------------------------------------------
 class SbaBank : public Instance {
  public:
-  /// Called once per slot at `start_time`, in slot order, to fetch inputs as
-  /// vids in the bank's shared intern space (0 = ⊥; intern via
-  /// intern_input). ΠBC reads each slot's Acast output at that moment.
+  /// Called once per slot at the start tick, in slot order, to fetch the
+  /// seat's inputs as vids in the schedule's shared intern space (0 = ⊥;
+  /// intern via intern_input). ΠBC reads each slot's Acast output then.
   using InputProvider = std::function<std::uint32_t(int slot)>;
 
-  /// `ctx` supplies t (= ctx.ts): t+1 phases, phase k's king is P_{(k−1) mod n}.
-  SbaBank(Party& party, const Addr& addr, int K, const Ctx& ctx, Tick start_time,
-          InputProvider input);
+  /// This party's run-wide schedule starting at `start_time`, built by the
+  /// first bank that asks for it and owned by the party.
+  static SbaBank& at_tick(Party& party, Tick start_time, const Ctx& ctx);
 
-  /// Output as a vid in the shared intern space; nullopt before the final
-  /// phase completes.
-  std::optional<std::uint32_t> output_vid(int slot) const {
-    return finished_ ? std::optional<std::uint32_t>((*v_)[static_cast<std::size_t>(slot)])
-                     : std::nullopt;
-  }
-  /// Materialized output bytes (copies out of the shared intern table).
-  std::optional<Bytes> output(int slot) const {
-    auto vid = output_vid(slot);
-    return vid ? std::optional<Bytes>(shared_->value(*vid)) : std::nullopt;
+  /// A schedule on its own route (the frozen per-group references; run_mpc
+  /// uses at_tick). `ctx` supplies t (= ctx.ts): t+1 phases, phase k's king
+  /// is P_{(k−1) mod n}.
+  SbaBank(Party& party, const Addr& addr, const Ctx& ctx, Tick start_time);
+
+  /// Enroll `slots` slots under `key`, unique per schedule; returns the
+  /// seat index. Throws once the schedule has started.
+  int enroll(RouteId key, int slots, InputProvider input);
+
+  /// Output of a seat's slot as a vid in the shared intern space; nullopt
+  /// before the final phase completes.
+  std::optional<std::uint32_t> output_vid(int seat, int slot) const {
+    if (!finished_) return std::nullopt;
+    return (*v_)[static_cast<std::size_t>(seats_[static_cast<std::size_t>(seat)].offset + slot)];
   }
 
+  /// Valid from the start tick on, when the shared intern space exists.
   std::uint32_t intern_input(const Bytes& value) { return shared_->intern(value); }
 
   void on_message(const Msg& m) override;
@@ -209,6 +227,12 @@ class SbaBank : public Instance {
   enum Type { kVote1 = 0, kVote2 = 1, kKing = 2 };
 
  private:
+  struct Seat {
+    RouteId key = 0;
+    int slots = 0;
+    InputProvider input;
+    int offset = 0;  // into the K-slot vector, fixed at the start tick
+  };
   struct PhaseVotes {
     explicit PhaseVotes(int n) : seen1(n), seen2(n) {}
     // Message-level dedupe: the first VOTE1/VOTE2/KING message of a sender
@@ -225,14 +249,14 @@ class SbaBank : public Instance {
   int king(int k) const { return (k - 1) % n(); }
   void send_vector(int type, int k, const SbaShared::VidsPtr& vids);
 
+  void begin();
   void round_a_end(int k);
   void round_b_end(int k);
   void round_c_end(int k);
 
-  int K_, t_;
-  Tick start_;
-  InputProvider input_;
-  std::shared_ptr<SbaShared> shared_;
+  int t_;
+  std::vector<Seat> seats_;
+  std::shared_ptr<SbaShared> shared_;  // null until the start tick
 
   SbaShared::VidsPtr v_;        // current value per slot (vid 0 = ⊥)
   SbaShared::FlagsPtr locked_;  // per slot: D >= n−t this phase (null = none)
@@ -242,8 +266,8 @@ class SbaBank : public Instance {
 };
 
 // ---------------------------------------------------------------------------
-// BcBank — ΠBC slots in groups: AcastBank + per-start SbaBanks + the
-// per-slot decision rule.
+// BcBank — ΠBC slots in groups: AcastBank + seats on the party's run-wide
+// SBA schedules + the per-slot decision rule.
 // ---------------------------------------------------------------------------
 class BcBank {
  public:
@@ -253,19 +277,19 @@ class BcBank {
   using Handler = std::function<void(int slot, const std::optional<Bytes>& value, bool fallback)>;
 
   /// One logical ΠBC grid: per-slot accepted senders, the publicly known
-  /// start time T0, and the per-slot handler. Groups with equal start share
-  /// one SBA schedule.
+  /// start time T0, and the per-slot handler. Groups with equal start take
+  /// one seat on the same SBA schedule.
   struct Group {
     std::vector<int> senders;
     Tick start = 0;
     Handler handler;
   };
 
-  /// Mega-bank: one Acast coalescing window and per-distinct-start SBA
-  /// schedules over the union of all groups' slots.
-  /// The bank is an interior route: its AcastBank lives at addr/acast, its
-  /// SBA schedule at addr/sba (addr/sba:p for schedule p when there are
-  /// several).
+  /// Mega-bank: one Acast coalescing window over the union of all groups'
+  /// slots, and one seat per distinct group start on the party's run-wide
+  /// SBA schedule for that start + 3Δ (SbaBank::at_tick). Must be built
+  /// before its earliest group start + 3Δ. The bank is an interior route:
+  /// its AcastBank lives at addr/acast, and the route is its seat key.
   BcBank(Party& party, const Addr& addr, std::vector<Group> groups, const Ctx& ctx);
 
   /// Single-group convenience (a lone ΠBC, and the own input bank of a ΠBA
@@ -304,9 +328,9 @@ class BcBank {
     std::vector<int> senders;
     Tick start = 0;
     Handler handler;
-    std::size_t base = 0;      // offset into the flattened (global) slot space
-    int sba = 0;               // SBA schedule (partition) index
-    std::size_t sba_base = 0;  // offset into that schedule's slot space
+    std::size_t base = 0;       // offset into the flattened (global) slot space
+    int part = 0;               // index into parts_
+    std::size_t part_base = 0;  // offset into that part's seat
     std::vector<char> regular_done;
     /// Acast-space vids (AcastShared::kNoVid = ⊥/none): the regular-mode
     /// output and the current (post-fallback) output per slot.
@@ -325,12 +349,15 @@ class BcBank {
   std::vector<GroupState> groups_;
   std::vector<std::size_t> bases_;  // groups_[g].base, for global->group lookup
   std::unique_ptr<AcastBank> acast_;
-  /// One SBA schedule per distinct group start, in first-appearance order;
-  /// part_slots_[p][local] = global slot.
-  std::vector<std::unique_ptr<SbaBank>> sbas_;
-  std::vector<std::vector<std::size_t>> part_slots_;
-  /// Per partition: Acast-space vid -> wrapped SBA-space vid memo.
-  std::vector<std::unordered_map<std::uint32_t, std::uint32_t>> wrap_vids_;
+  /// The groups of one distinct start: their seat on that start's schedule.
+  struct Part {
+    Tick start = 0;
+    SbaBank* sba = nullptr;
+    int seat = 0;
+    std::vector<std::size_t> slots;  // seat slot -> global slot
+    std::unordered_map<std::uint32_t, std::uint32_t> wrap_vids;  // Acast vid -> SBA vid
+  };
+  std::vector<Part> parts_;  // first-appearance order of the group starts
 };
 
 }  // namespace bobw

@@ -72,6 +72,10 @@ class Party {
   void send_all(const std::string& inst, int type, const Bytes& body);
 
   void register_instance(Instance* inst);
+  /// The instance registered on `route` on this party, or null.
+  Instance* instance(RouteId route) const {
+    return route < by_route_.size() ? by_route_[route] : nullptr;
+  }
   void unregister_instance(RouteId route);
   void deliver(const Msg& m);
 
@@ -80,8 +84,8 @@ class Party {
   void halt() { halted_ = true; }
   bool halted() const { return halted_; }
 
-  /// Root-level session objects owned by this party (keeps them alive for
-  /// the duration of the run).
+  /// Root-level session objects and the run-wide SBA schedules owned by
+  /// this party (keeps them alive for the duration of the run).
   void own(std::shared_ptr<void> session) { owned_.push_back(std::move(session)); }
 
   /// Window-executor capture hooks. While a window is active, send/at record

@@ -16,11 +16,14 @@
 //     2n+1+j   child j ΠBA inputs         (n slots, B+3Δ+2T_BC)
 //     3n+1+j   child j ★₂                 (1 slot,  B+Δ+T_WPS — equal to
 //                                          the dealer grid's start, so the
-//                                          two share one SBA schedule)
+//                                          two share one SBA seat)
 //     4n+1     ΠVSS wef                   (1 slot,  B+Δ+T_WPS+T_BC)
 //     4n+2     ΠVSS ΠBA inputs            (n slots, B+Δ+T_WPS+2T_BC)
 //     4n+3     ΠVSS ★₂                    (1 slot,  B+Δ+T_WPS+2T_BC+T_BA)
-// Seven distinct start times, so seven SBA schedules for any n.
+// Seven distinct start times, so the plane takes seven seats, one on each
+// of seven run-wide SBA schedules (SbaBank::at_tick), for any n. Every other
+// bank of the run with the same start times — the sibling sharings of one
+// ΠACS, say — sits on the same seven schedules.
 #pragma once
 
 #include <array>

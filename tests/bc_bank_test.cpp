@@ -49,27 +49,34 @@ struct BankRun {
   std::vector<std::unique_ptr<BcBank>> inst;  // per party
   Records rec;
 
-  BankRun(test::World& w, const std::vector<int>& senders, Tick start)
-      : rec(w.n(), static_cast<int>(senders.size())) {
+  /// `build_now` false: the caller builds each party's bank with build().
+  BankRun(test::World& w, const std::vector<int>& senders, Tick start, std::string route = "g",
+          bool build_now = true)
+      : rec(w.n(), static_cast<int>(senders.size())),
+        senders_(senders),
+        start_(start),
+        route_(std::move(route)) {
     inst.resize(static_cast<std::size_t>(w.n()));
-    for (int i = 0; i < w.n(); ++i) {
-      if (!w.runs_code(i)) continue;
-      auto* world = &w;
-      auto* recs = &rec;
-      int p = i;
-      inst[static_cast<std::size_t>(i)] = std::make_unique<BcBank>(
-          w.party(i), "g", senders, w.ctx, start,
-          [recs, world, p](int slot, const std::optional<Bytes>& v, bool fb) {
-            SlotRecord& sr = recs->at(p, slot);
-            if (fb) {
-              sr.fallback = v;
-              sr.fallback_time = world->sim->now();
-            } else {
-              sr.regular = v;
-              sr.regular_time = world->sim->now();
-            }
-          });
-    }
+    if (build_now)
+      for (int i = 0; i < w.n(); ++i) build(w, i);
+  }
+
+  void build(test::World& w, int i) {
+    if (!w.runs_code(i)) return;
+    auto* world = &w;
+    auto* recs = &rec;
+    inst[static_cast<std::size_t>(i)] = std::make_unique<BcBank>(
+        w.party(i), route_, senders_, w.ctx, start_,
+        [recs, world, i](int slot, const std::optional<Bytes>& v, bool fb) {
+          SlotRecord& sr = recs->at(i, slot);
+          if (fb) {
+            sr.fallback = v;
+            sr.fallback_time = world->sim->now();
+          } else {
+            sr.regular = v;
+            sr.regular_time = world->sim->now();
+          }
+        });
   }
 
   void capture_finals(test::World& w, int K) {
@@ -79,6 +86,11 @@ struct BankRun {
         rec.at(i, s).final_out = inst[static_cast<std::size_t>(i)]->output(s);
     }
   }
+
+ private:
+  std::vector<int> senders_;
+  Tick start_;
+  std::string route_;
 };
 
 struct GridRun {
@@ -977,6 +989,155 @@ TEST(VssSchedulePlane, ZooSchedulersExactMatch) {
   const std::vector<std::uint8_t> sides{0, 0, 1, 1};
   run_plane_differential(partition_heal(sides, 6000), partition_heal(sides, 6000),
                          "plane-partition");
+}
+
+// ---- run-wide SBA schedules -----------------------------------------------
+//
+// Every bank of a run whose SBA starts at the same tick seats its slots on
+// the party's one schedule for that tick (SbaBank::at_tick). A slot's
+// phase-king decision reads only its own column of the vote vectors, so
+// sharing a schedule must leave every slot of every bank exactly as that
+// bank decides it alone: same regular outputs, fallback switches and ticks.
+
+/// Bank "a" has the n² ok-grid shape, bank "b" one slot per party. Every
+/// sender broadcasts at the start except one slot per bank, whose sender
+/// starts one Δ late: its Acast lands after the SBA read its input, so the
+/// slot is ⊥ in regular mode and switches in fallback.
+constexpr int kSharedN = 4;
+const int kLateA = 1 * kSharedN + 2, kLateB = 2;
+
+std::vector<int> b_senders() { return {0, 1, 2, 3}; }
+
+struct BanksOutcome {
+  Records a, b;
+  int sba_schedules = 0;
+};
+
+/// Runs bank a and/or bank b, both starting at 0, on one Sim. Party i
+/// builds b before a iff `b_first(i)`.
+BanksOutcome run_banks(bool with_a, bool with_b, const std::function<bool(int)>& b_first,
+                       std::shared_ptr<Adversary> adv = nullptr) {
+  const int n = kSharedN;
+  auto w = make_world(n, 1, 0, NetMode::kSynchronous, std::move(adv));
+  BankRun a(w, grid_senders(n), 0, "a", false), b(w, b_senders(), 0, "b", false);
+  for (int i = 0; i < n; ++i) {
+    if (with_b && b_first(i)) b.build(w, i);
+    if (with_a) a.build(w, i);
+    if (with_b && !b_first(i)) b.build(w, i);
+  }
+  for (int i = 0; i < n; ++i) {
+    if (with_a) {
+      w.party(i).at(0, [&a, i, n] {
+        for (int j = 0; j < n; ++j)
+          if (i * n + j != kLateA)
+            a.inst[static_cast<std::size_t>(i)]->broadcast(i * n + j, slot_value(i * n + j));
+      });
+      if (i * n <= kLateA && kLateA < (i + 1) * n)
+        w.party(i).at(w.ctx.delta, [&a, i] {
+          a.inst[static_cast<std::size_t>(i)]->broadcast(kLateA, slot_value(kLateA));
+        });
+    }
+    if (with_b)
+      w.party(i).at(i == kLateB ? w.ctx.delta : 0, [&b, i] {
+        b.inst[static_cast<std::size_t>(i)]->broadcast(i, slot_value(40 + i));
+      });
+  }
+  w.sim->run();
+  a.capture_finals(w, n * n);
+  b.capture_finals(w, n);
+  return {a.rec, b.rec, test::count_banks(*w.sim).sba};
+}
+
+void expect_late_slot_fell_back(const Records& r, int slot, const char* tag) {
+  for (int p = 0; p < kSharedN; ++p) {
+    const SlotRecord& sr = r.r[static_cast<std::size_t>(p)][static_cast<std::size_t>(slot)];
+    ASSERT_TRUE(sr.regular) << tag << " party " << p;
+    EXPECT_FALSE(*sr.regular) << tag << " party " << p;
+    EXPECT_TRUE(sr.fallback) << tag << " party " << p;
+  }
+}
+
+TEST(SbaSchedule, UnrelatedBanksWithOneStartShareOneSchedule) {
+  const int n = kSharedN;
+  const auto never = [](int) { return false; };
+  const BanksOutcome shared = run_banks(true, true, never);
+  const BanksOutcome solo_a = run_banks(true, false, never);
+  const BanksOutcome solo_b = run_banks(false, true, never);
+  EXPECT_EQ(shared.sba_schedules, 1);
+  EXPECT_EQ(solo_a.sba_schedules, 1);
+  expect_identical(shared.a, solo_a.a, n, n * n, "shared-a");
+  expect_identical(shared.b, solo_b.b, n, n, "shared-b");
+  // Not vacuous: each bank has a ⊥-then-fallback slot next to regular ones.
+  expect_late_slot_fell_back(shared.a, kLateA, "a");
+  expect_late_slot_fell_back(shared.b, kLateB, "b");
+  ASSERT_TRUE(shared.a.r[0][0].regular);
+  EXPECT_EQ(*shared.a.r[0][0].regular, slot_value(0));
+}
+
+TEST(SbaSchedule, LayoutIgnoresConstructionOrder) {
+  // Parties 0 and 2 build bank b first, parties 1 and 3 bank a first. The
+  // schedule lays seats out by the banks' routes, so the K-slot vectors
+  // still line up across parties and every slot decides as when alone.
+  const int n = kSharedN;
+  for (const auto& b_first : std::vector<std::function<bool(int)>>{
+           [](int i) { return i % 2 == 0; }, [](int i) { return i % 2 == 1; }}) {
+    const BanksOutcome shared = run_banks(true, true, b_first);
+    const BanksOutcome solo_a = run_banks(true, false, b_first);
+    const BanksOutcome solo_b = run_banks(false, true, b_first);
+    EXPECT_EQ(shared.sba_schedules, 1);
+    expect_identical(shared.a, solo_a.a, n, n * n, "reordered-a");
+    expect_identical(shared.b, solo_b.b, n, n, "reordered-b");
+  }
+}
+
+/// Corrupt party that attacks the shared schedule itself: every SBA vector
+/// it sends to P0 claims one value of its own for every slot, the ones to
+/// P1 are truncated (dropped wholesale), and P2 gets the honest vector.
+class ScheduleEquivocator : public Adversary {
+ public:
+  bool participates(int) const override { return true; }
+  bool filter_outgoing(Msg& m, Rng&) override {
+    const std::string& r = route_name(m);
+    if (r.compare(r.rfind('/') + 1, 3, "sba") != 0) return true;
+    if (m.to == 0) {
+      auto vote = bcwire::decode_sba(m.body);
+      if (!vote) return true;
+      vote->groups.clear();
+      vote->def = Bytes{0x01, 0xEE};
+      m.body = bcwire::encode_sba(*vote);
+      ++rewritten_;
+    } else if (m.to == 1) {
+      const auto half = static_cast<std::ptrdiff_t>(m.body.size() / 2);
+      m.body = Bytes(m.body.begin(), m.body.begin() + half);
+      ++rewritten_;
+    }
+    return true;
+  }
+  int rewritten() const { return rewritten_; }
+
+ private:
+  int rewritten_ = 0;
+};
+
+TEST(SbaSchedule, CorruptPartyOnSharedScheduleChangesNoSlotOfTheOtherBank) {
+  // The same attack runs against each bank alone and against both sharing
+  // one schedule; per-slot independence means neither bank can tell.
+  const int n = kSharedN;
+  const auto never = [](int) { return false; };
+  auto run = [&](bool with_a, bool with_b) {
+    auto adv = std::make_shared<ScheduleEquivocator>();
+    adv->corrupt(3);
+    BanksOutcome o = run_banks(with_a, with_b, never, adv);
+    EXPECT_GT(adv->rewritten(), 0);  // the attack ran
+    return o;
+  };
+  const BanksOutcome shared = run(true, true);
+  const BanksOutcome solo_a = run(true, false);
+  const BanksOutcome solo_b = run(false, true);
+  EXPECT_EQ(shared.sba_schedules, 1);
+  expect_identical(shared.a, solo_a.a, n, n * n, "attacked-a");
+  expect_identical(shared.b, solo_b.b, n, n, "attacked-b");
+  expect_late_slot_fell_back(shared.a, kLateA, "attacked-a");
 }
 
 }  // namespace

@@ -200,9 +200,14 @@ TEST(Bc, SyncConsistencyWhenNonKingForgesKingVectors) {
     explicit ForgedKing(Bytes m) : m_(std::move(m)) {}
     bool participates(int) const override { return true; }
     bool filter_outgoing(Msg& msg, Rng&) override {
-      if (msg.type != SbaBank::kVote2 || route_name(msg) != "bc/sba") return true;
+      // Any SBA schedule, by its layer segment: the bank's slot rides the
+      // run-wide schedule of its start tick (plane/sba:T).
+      const std::string& name = route_name(msg);
+      if (msg.type != SbaBank::kVote2 || name.compare(name.rfind('/') + 1, 3, "sba") != 0)
+        return true;
       auto vote = bcwire::decode_sba(msg.body);
       if (!vote) return true;
+      ++forged_;
       bcwire::SbaMsg king;
       king.k = vote->k;
       if (msg.to == 0) {
@@ -213,9 +218,11 @@ TEST(Bc, SyncConsistencyWhenNonKingForgesKingVectors) {
       msg.body = bcwire::encode_sba(king);
       return true;
     }
+    int forged() const { return forged_; }
 
    private:
     Bytes m_;
+    int forged_ = 0;
   };
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     auto adv = std::make_shared<ForgedKing>(m);
@@ -225,6 +232,7 @@ TEST(Bc, SyncConsistencyWhenNonKingForgesKingVectors) {
     BcRun run(w, 3, 0);
     w.party(3).at(w.ctx.delta, [&] { run.inst[3]->broadcast(0, m); });
     w.sim->run();
+    EXPECT_GT(adv->forged(), 0) << "seed " << seed;  // the attack ran
     std::optional<std::optional<Bytes>> agreed;
     for (int i = 0; i < 3; ++i) {
       const auto& regular = run.regular[static_cast<std::size_t>(i)];

@@ -7,8 +7,9 @@
 // VSS schedule plane collapses further (every broadcast/BA layer of a
 // sharing rides one bank: one Acast window, seven SBA schedules —
 // tests/reference/legacy_vssplanes.hpp keeps the one-bank-per-group
-// reference), so the communication/event counts below are re-pinned on the
-// full schedule plane. What must NOT move versus the frozen per-pair path
+// reference), and every bank of a run starting together rides one run-wide
+// SBA schedule per start tick, so the communication/event counts below are
+// re-pinned on that transport. What must NOT move versus the frozen per-pair path
 // (tests/reference/legacy_bcgrid.hpp, captured by the PR 4 pins):
 //   * every party's output and input_cs, in every scenario;
 //   * synchronous finish times and end time — the bank flushes at exactly
@@ -97,9 +98,9 @@ TEST(GoldenTrace, SumAllN4SyncSeed1) {
            {26, 26, 26, 26},
            {117000, 117000, 117000, 117000},
            {0, 1, 2, 3},
-           11980032,
-           36912,
-           50400,
+           8066688,
+           23664,
+           32000,
            117000};
   expect_golden(g);
 }
@@ -119,9 +120,9 @@ TEST(GoldenTrace, PairwiseN4SyncCrash3Seed7) {
            {50, 50, 50, std::nullopt},
            {122000, 122000, 122000, 0},
            {0, 1, 2},
-           8322432,
-           25668,
-           34650,
+           5705216,
+           15364,
+           20482,
            122000};
   expect_golden(g);
 }
@@ -140,12 +141,12 @@ TEST(GoldenTrace, SumAllN5AsyncCrash2Seed3) {
            }(),
            circuits::sum_all(5),
            {32, 32, std::nullopt, 32, 32},
-           {138852, 136890, 0, 137323, 137937},
+           {134804, 135761, 0, 135519, 136080},
            {0, 1, 3, 4},
-           20418440,
-           83880,
-           107621,
-           139682};
+           16572520,
+           59495,
+           75653,
+           137879};
   expect_golden(g);
 }
 

@@ -59,8 +59,11 @@ inline std::shared_ptr<Adversary> crash(std::initializer_list<int> corrupt) {
 }
 
 /// Banks holding cross-party state (Sim::shared_state) on routes whose name
-/// contains `within`: ACast banks (".../acast") and SBA schedules
-/// (".../sba" or ".../sba:p").
+/// contains `within`: ACast banks (".../acast", one per BcBank) and SBA
+/// schedules (a last segment "sba" or "sba:T"). Every BcBank rides the
+/// run-wide schedule of its start tick T, "plane/sba:T", which no bank's
+/// route contains: count those with `within` = "" or "plane/sba". A private
+/// ".../sba" schedule belongs to a frozen reference.
 struct BankCount {
   int acast = 0, sba = 0;
 };

@@ -256,10 +256,10 @@ TEST(VssSweep64, HonestDealerSharesAtDeadline) {
     EXPECT_EQ(inst[static_cast<std::size_t>(i)]->shares()[0], q.eval(alpha(i))) << i;
   }
   // One sharing, one shared Acast state for EVERY broadcast/BA layer (the
-  // schedule plane), not 196, and seven SBA schedules, not 197.
-  const test::BankCount plane = test::count_banks(*w.sim, "/plane/");
-  EXPECT_EQ(plane.acast, 1);
-  EXPECT_EQ(plane.sba, 7);
+  // schedule plane), not 196, and seven run-wide SBA schedules (one per
+  // layer start tick), not 197.
+  EXPECT_EQ(test::count_banks(*w.sim, "/plane/").acast, 1);
+  EXPECT_EQ(test::count_banks(*w.sim, "plane/sba").sba, 7);
 }
 
 // ---- Reconstruct over batch sizes and thresholds --------------------------

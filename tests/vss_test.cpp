@@ -216,8 +216,8 @@ TEST(Wps, StandaloneRidesOnePlane) {
   // A bare ΠWPS has one wiring, the same as a ΠVSS child's: its four
   // broadcast layers — the n² ok grid, the wef, the ΠBA input bits and the
   // ★₂ — ride four groups of ONE bank, which the instance builds itself
-  // without a parent plane. So: one Acast state and one SBA schedule per
-  // layer start time (four), all under the Wps's own plane, and no other
+  // without a parent plane. So: one Acast state, under the Wps's own plane,
+  // and one run-wide SBA schedule per layer start time (four), and no other
   // bank.
   const int n = 4, ts = 1, ta = 0, L = 1;
   auto w = make_world(n, ts, ta, NetMode::kSynchronous);
@@ -228,8 +228,8 @@ TEST(Wps, StandaloneRidesOnePlane) {
   w.sim->run();
   const BankCount all = count_banks(*w.sim), plane = count_banks(*w.sim, "wps/plane/");
   EXPECT_EQ(plane.acast, 1);
-  EXPECT_EQ(plane.sba, 4);
-  EXPECT_EQ(all.acast + all.sba - plane.acast - plane.sba, 0);  // no stray bank
+  EXPECT_EQ(all.sba, 4);
+  EXPECT_EQ(all.acast - plane.acast, 0);  // no stray bank
   for (int i = 0; i < n; ++i) {
     ASSERT_TRUE(run.inst[static_cast<std::size_t>(i)]->has_output()) << i;
     EXPECT_EQ(run.inst[static_cast<std::size_t>(i)]->shares()[0], qs[0].eval(alpha(i)));
@@ -279,7 +279,8 @@ TEST(Vss, OneSchedulePlanePerSharing) {
   // Transport shape of the schedule plane: every broadcast/BA layer of one
   // sharing — the (n+1)·n² ok grids, the n+1 wef and ★₂ broadcasts, the
   // (n+1)·n ΠBA input bits — rides ONE shared Acast state and exactly SEVEN
-  // SBA schedules (one per distinct layer start time, independent of n).
+  // run-wide SBA schedules (one per distinct layer start time, independent
+  // of n).
   // One independent bank per group (tests/reference/legacy_vssplanes.hpp)
   // would register 4n+4 of each. Only the per-child ΠABAs remain outside
   // the plane.
@@ -292,7 +293,7 @@ TEST(Vss, OneSchedulePlanePerSharing) {
   w.sim->run();
   const BankCount plane = count_banks(*w.sim, "/plane/");
   EXPECT_EQ(plane.acast, 1);
-  EXPECT_EQ(plane.sba, 7);
+  EXPECT_EQ(count_banks(*w.sim).sba, 7);
   // No Vss sub-instance may own a private wef/star2/ok/BA-input bank.
   EXPECT_EQ(count_banks(*w.sim, "vss/").acast - plane.acast, 0);
   for (int i = 0; i < n; ++i) ASSERT_TRUE(run.inst[static_cast<std::size_t>(i)]->has_output());
