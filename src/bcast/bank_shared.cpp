@@ -93,7 +93,9 @@ std::shared_ptr<AcastShared> AcastShared::get(Party& party, RouteId route) {
 AcastShared::BatchPtr AcastShared::decode(const Payload& body) {
   return decode_cached(batches_, body, [this](const Bytes& buf) {
     auto batch = std::make_shared<Batch>();
-    for (auto& g : bcwire::decode_acast_batch(buf)) {
+    // configure() ran when the first AcastBank on this route was built,
+    // before any message could reach it.
+    for (auto& g : bcwire::decode_acast_batch(buf, K_)) {
       if (g.type > AcastBank::kReady) continue;  // Byzantine sub-type: receivers skip it
       batch->push_back(Group{g.type, intern_locked(g.value), std::move(g.slots)});
     }
@@ -168,11 +170,9 @@ class AcastShared::Cohort {
   /// generated sends/accepts are recorded (tip compute); with `fx` null the
   /// state is advanced silently (base fold / branch rebuild).
   void apply(std::vector<SlotState>& st, int from, const Batch& batch, Effects* fx) const {
-    const auto K = static_cast<std::uint32_t>(st.size());
     for (const auto& g : batch) {
       for (std::uint32_t us : g.slots) {
-        if (us >= K) continue;
-        SlotState& slot = st[us];
+        SlotState& slot = st[us];  // decode() kept only ids below K
         switch (g.type) {
           case AcastBank::kInit: {
             if (from != (*senders)[us] || slot.echoed) break;
@@ -240,6 +240,7 @@ void AcastShared::configure(std::vector<int> senders, int t, int n) {
     assert(root_->senders->size() == senders.size() && root_->t == t && root_->n == n);
     return;
   }
+  K_ = senders.size();
   root_ = std::make_shared<Cohort>(
       std::make_shared<const std::vector<int>>(std::move(senders)), t, n);
 }
@@ -345,7 +346,7 @@ std::optional<Payload> AcastShared::flush_batch(Cursor& c, const std::vector<Sen
   // Group by (type, vid) in first-appearance order — deterministic, and K
   // near-identical bodies (a window's worth of ok-verdict echoes) cost one
   // value on the wire. Own INITs lead, then branch carry-over, then the
-  // shared log's sends in log order.
+  // shared log's sends in log order; the encoder sorts each group's slots.
   std::vector<bcwire::AcastGroup> groups;
   std::unordered_map<std::uint64_t, std::size_t> group_of;
   auto add = [&](const Send& s) {
@@ -361,7 +362,7 @@ std::optional<Payload> AcastShared::flush_batch(Cursor& c, const std::vector<Sen
   c.pending.clear();
   co->floors[static_cast<std::size_t>(c.member)] = c.flushed = c.index;
   if (groups.empty()) return std::nullopt;
-  Payload p = canonical(bcwire::encode_acast_batch(groups));
+  Payload p = canonical(bcwire::encode_acast_batch(std::move(groups)));
   if (memoable) co->ranges.emplace(key, p);
   return p;
 }
@@ -402,14 +403,14 @@ SbaShared::VidsPtr SbaShared::canonical_vids(Vids&& v) {
 SbaShared::ExpandedPtr SbaShared::expand(const Payload& body) {
   return decode_cached(expansions_, body, [this](const Bytes& buf) {
     auto exp = std::make_shared<Expanded>();
-    if (auto m = bcwire::decode_sba(buf)) {
+    if (auto m = bcwire::decode_sba(buf, static_cast<std::uint64_t>(K_))) {
       exp->k = m->k;
       constexpr std::uint32_t kUncovered = ~std::uint32_t{0};
       Vids out(static_cast<std::size_t>(K_), kUncovered);
       for (const auto& g : m->groups) {
         const std::uint32_t vid = intern_locked(g.value);
-        for (std::uint32_t s : g.slots)
-          if (s < static_cast<std::uint32_t>(K_) && out[s] == kUncovered) out[s] = vid;
+        for (std::uint32_t s : g.slots)  // all below K: the decoder clipped the rest
+          if (out[s] == kUncovered) out[s] = vid;
       }
       const std::uint32_t def_vid = intern_locked(m->def);
       for (auto& vid : out)
@@ -525,7 +526,7 @@ Payload SbaShared::encode(std::uint32_t k, const VidsPtr& vids) {
     }
     // Byte-canonicalize so identical vectors reached through distinct vid
     // arrays still share one buffer (and the receivers' pointer cache).
-    return canonical_locked(bcwire::encode_sba(msg));
+    return canonical_locked(bcwire::encode_sba(std::move(msg)));
   }, k, vids);
 }
 

@@ -282,7 +282,8 @@ class AcastShared : public BankCache {
 
   /// The coalesced wire batch for `own` (sender-side INITs) + any branch
   /// carry-over + the log range [flushed, index), grouped by (type, value)
-  /// in first-appearance order; nullopt when there is nothing to send.
+  /// in first-appearance order (each group's slots ascending on the wire);
+  /// nullopt when there is nothing to send.
   /// Advances the cursor's flush point. Identical batches (every honest
   /// party's echo flush in a round-crisp window) share one buffer.
   std::optional<Payload> flush_batch(Cursor& c, const std::vector<Send>& own);
@@ -301,6 +302,7 @@ class AcastShared : public BankCache {
   void maybe_prune(Cohort& co);
 
   PayloadMemo<Batch> batches_;
+  std::uint64_t K_ = 0;  // slots, fixed by configure()
   std::shared_ptr<Cohort> root_;
 };
 

@@ -1,8 +1,12 @@
 #include "src/bcast/bc_bank.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstring>
 #include <limits>
+#include <numeric>
+#include <optional>
 #include <stdexcept>
 
 namespace bobw {
@@ -11,31 +15,171 @@ namespace bobw {
 
 namespace bcwire {
 
-Bytes encode_acast_batch(const std::vector<AcastGroup>& groups) {
-  Writer w;
+namespace {
+
+enum SetTag : std::uint8_t { kRuns = 0, kBitmap = 1 };
+
+/// Saturates at 2^64 − 1: a Byzantine gap or run length must not wrap an
+/// id back into [0, K).
+std::uint64_t sat_add(std::uint64_t a, std::uint64_t b) {
+  return a > ~std::uint64_t{0} - b ? ~std::uint64_t{0} : a + b;
+}
+
+/// The canonical code of a strictly ascending set: the shorter form (runs
+/// on a tie), its byte length and, for the run form, the run count.
+struct SetCode {
+  bool bitmap = false;
+  std::size_t bytes = 0;
+  std::uint64_t runs = 0;
+};
+
+/// The code of `s` when it is strictly ascending; nullopt when it is not.
+std::optional<SetCode> measure(const std::vector<std::uint32_t>& s) {
+  SetCode c;
+  std::size_t run_bytes = 0;
+  std::uint64_t next = 0;  // one past the previous run
+  for (std::size_t i = 0; i < s.size();) {
+    std::size_t j = i + 1;
+    while (j < s.size() && s[j] == std::uint64_t{s[j - 1]} + 1) ++j;
+    if (j < s.size() && s[j] <= s[j - 1]) return std::nullopt;
+    run_bytes += Writer::var_size(s[i] - next) + Writer::var_size(j - i - 1);
+    next = std::uint64_t{s[j - 1]} + 1;
+    ++c.runs;
+    i = j;
+  }
+  c.bytes = 1 + Writer::var_size(c.runs) + run_bytes;
+  if (!s.empty()) {
+    const std::uint64_t span = std::uint64_t{s.back()} - s.front() + 1;
+    const std::size_t bitmap_bytes =
+        1 + Writer::var_size(s.front()) + Writer::var_size(span) + (span + 7) / 8;
+    if (bitmap_bytes < c.bytes) {
+      c.bitmap = true;
+      c.bytes = bitmap_bytes;
+    }
+  }
+  return c;
+}
+
+/// Sorts `slots` ascending and drops repeats — only when it is not already
+/// strictly ascending (every honest encoder's case) — and returns its code.
+SetCode normalize(std::vector<std::uint32_t>& slots) {
+  if (auto c = measure(slots)) return *c;
+  std::sort(slots.begin(), slots.end());
+  slots.erase(std::unique(slots.begin(), slots.end()), slots.end());
+  return *measure(slots);
+}
+
+void write(Writer& w, const std::vector<std::uint32_t>& s, const SetCode& c) {
+  if (!c.bitmap) {
+    w.u8(kRuns);
+    w.var(c.runs);
+    std::uint64_t next = 0;
+    for (std::size_t i = 0; i < s.size();) {
+      std::size_t j = i + 1;
+      while (j < s.size() && s[j] == std::uint64_t{s[j - 1]} + 1) ++j;
+      w.var(s[i] - next);
+      w.var(j - i - 1);
+      next = std::uint64_t{s[j - 1]} + 1;
+      i = j;
+    }
+    return;
+  }
+  const std::uint32_t lo = s.front();
+  const std::uint64_t span = std::uint64_t{s.back()} - lo + 1;
+  w.u8(kBitmap);
+  w.var(lo);
+  w.var(span);
+  // Bit i of byte b stands for lo + 8b + i; one pass over the set.
+  std::size_t i = 0;
+  for (std::uint64_t byte = 0; byte < (span + 7) / 8; ++byte) {
+    std::uint8_t bits = 0;
+    for (; i < s.size() && (s[i] - lo) / 8 == byte; ++i)
+      bits = static_cast<std::uint8_t>(bits | (1u << ((s[i] - lo) % 8)));
+    w.u8(bits);
+  }
+}
+
+/// Appends the ids of a bitmap over [lo, lo + span) that fall below K.
+void read_bitmap(const std::uint8_t* bits, std::uint64_t nbytes, std::uint64_t lo,
+                 std::uint64_t span, std::uint64_t K, std::vector<std::uint32_t>& out) {
+  if (lo >= K) return;
+  const std::uint64_t width = std::min(span, K - lo);  // offsets [0, width) can be ids
+  for (std::uint64_t at = 0; at < width; at += 64) {
+    std::uint64_t word = 0;  // little-endian: bit j of byte b is bit 8b + j
+    const std::uint64_t take = std::min<std::uint64_t>(8, nbytes - at / 8);
+    std::memcpy(&word, bits + at / 8, static_cast<std::size_t>(take));
+    while (word) {
+      const std::uint64_t off = at + static_cast<std::uint64_t>(std::countr_zero(word));
+      if (off >= width) return;
+      out.push_back(static_cast<std::uint32_t>(lo + off));
+      word &= word - 1;
+    }
+  }
+}
+
+}  // namespace
+
+std::size_t slot_set_size(std::vector<std::uint32_t>& slots) { return normalize(slots).bytes; }
+
+void put_slot_set(Writer& w, std::vector<std::uint32_t>& slots) {
+  write(w, slots, normalize(slots));
+}
+
+void get_slot_set(Reader& r, std::uint64_t K, std::vector<std::uint32_t>& out) {
+  const std::uint8_t tag = r.u8();
+  if (tag == kRuns) {
+    const std::uint64_t runs = r.var();
+    std::uint64_t next = 0;
+    // Every run costs at least two bytes, so a forged count runs out of
+    // payload instead of looping.
+    for (std::uint64_t i = 0; i < runs; ++i) {
+      const std::uint64_t start = sat_add(next, r.var());
+      next = sat_add(start, sat_add(r.var(), 1));
+      if (start >= std::min(next, K)) continue;
+      const std::size_t at = out.size();
+      out.resize(at + static_cast<std::size_t>(std::min(next, K) - start));
+      std::iota(out.begin() + static_cast<std::ptrdiff_t>(at), out.end(),
+                static_cast<std::uint32_t>(start));
+    }
+  } else if (tag == kBitmap) {
+    const std::uint64_t lo = r.var();
+    const std::uint64_t span = r.var();
+    const std::uint64_t nbytes = span / 8 + (span % 8 != 0);
+    if (nbytes > std::numeric_limits<std::size_t>::max()) throw CodecError("oversized bitmap");
+    const std::uint8_t* bits = r.view(static_cast<std::size_t>(nbytes));
+    read_bitmap(bits, nbytes, lo, span, K, out);
+  } else {
+    throw CodecError("unknown slot-set tag");
+  }
+}
+
+Bytes encode_acast_batch(std::vector<AcastGroup> groups) {
+  // One sizing pass, then one write pass into an exactly sized buffer.
+  std::size_t size = 4;
+  for (auto& g : groups) size += 1 + 4 + g.value.size() + slot_set_size(g.slots);
+  Writer w(size);
   w.u32(static_cast<std::uint32_t>(groups.size()));
   for (const auto& g : groups) {
     w.u8(g.type);
     w.bytes(g.value);
-    w.u32(static_cast<std::uint32_t>(g.slots.size()));
-    for (std::uint32_t s : g.slots) w.u32(s);
+    write(w, g.slots, *measure(g.slots));  // normalized by the sizing pass
   }
   return w.take();
 }
 
-std::vector<AcastGroup> decode_acast_batch(const Bytes& b) {
+std::vector<AcastGroup> decode_acast_batch(const Bytes& b, std::uint64_t K) {
   std::vector<AcastGroup> out;
   try {
     Reader r(b);
     const std::uint32_t ngroups = r.u32();
+    std::uint64_t budget = 3 * K;  // each slot once per INIT/ECHO/READY
     for (std::uint32_t i = 0; i < ngroups; ++i) {
       AcastGroup g;
       g.type = r.u8();
       g.value = r.bytes();
-      const std::uint32_t nslots = r.u32();
-      if (nslots > (b.size() / 4) + 1) throw CodecError("oversized slot list");
-      g.slots.reserve(nslots);
-      for (std::uint32_t s = 0; s < nslots; ++s) g.slots.push_back(r.u32());
+      get_slot_set(r, K, g.slots);
+      if (g.slots.size() > budget) throw CodecError("batch names more than 3K slots");
+      budget -= g.slots.size();
       out.push_back(std::move(g));
     }
   } catch (const CodecError&) {
@@ -44,32 +188,33 @@ std::vector<AcastGroup> decode_acast_batch(const Bytes& b) {
   return out;
 }
 
-Bytes encode_sba(const SbaMsg& m) {
-  Writer w;
+Bytes encode_sba(SbaMsg m) {
+  std::size_t size = 4 + 4 + 4 + m.def.size();
+  for (auto& g : m.groups) size += 4 + g.value.size() + slot_set_size(g.slots);
+  Writer w(size);
   w.u32(m.k);
   w.u32(static_cast<std::uint32_t>(m.groups.size()));
   for (const auto& g : m.groups) {
     w.bytes(g.value);
-    w.u32(static_cast<std::uint32_t>(g.slots.size()));
-    for (std::uint32_t s : g.slots) w.u32(s);
+    write(w, g.slots, *measure(g.slots));  // normalized by the sizing pass
   }
   w.bytes(m.def);
   return w.take();
 }
 
-std::optional<SbaMsg> decode_sba(const Bytes& b) {
+std::optional<SbaMsg> decode_sba(const Bytes& b, std::uint64_t K) {
   try {
     Reader r(b);
     SbaMsg m;
     m.k = r.u32();
     const std::uint32_t ngroups = r.u32();
+    std::uint64_t budget = K;  // an honest vector names each slot at most once
     for (std::uint32_t i = 0; i < ngroups; ++i) {
       SbaMsg::Group g;
       g.value = r.bytes();
-      const std::uint32_t nslots = r.u32();
-      if (nslots > (b.size() / 4) + 1) return std::nullopt;
-      g.slots.reserve(nslots);
-      for (std::uint32_t s = 0; s < nslots; ++s) g.slots.push_back(r.u32());
+      get_slot_set(r, K, g.slots);
+      if (g.slots.size() > budget) return std::nullopt;
+      budget -= g.slots.size();
       m.groups.push_back(std::move(g));
     }
     m.def = r.bytes();

@@ -30,7 +30,7 @@
 //    own wef/★₂ broadcast and ΠBA input layer — 4n+4 groups — ride ONE bank
 //    (see the layout table in src/vss/plane.hpp).
 //  * AcastBank coalesces all groups' INIT/ECHO/READY traffic per local
-//    Δ-window into ONE wire message of (type, value) → slot-list groups,
+//    Δ-window into ONE wire message of (type, value) → slot-set groups,
 //    with per-slot digest-interned echo/ready vote sets. Outgoing traffic is
 //    buffered and flushed when the local clock next hits a multiple of Δ —
 //    at round boundaries (where all honest ΠBC traffic is generated in a
@@ -82,8 +82,59 @@ namespace bobw {
 // ---------------------------------------------------------------------------
 // Wire formats of the bank's coalesced messages. Exposed so tests and
 // targeted adversaries can decode/garble individual slot entries.
+//
+// Both messages name slots by SETS of slot ids in one code. The paper's ΠBC
+// needs no instance names on the wire (the schedule is public); a bank pays
+// for them only because it multiplexes, so the code keeps them small. A set
+// is written sorted ascending, repeats dropped, as one tag byte and then the
+// shorter of two forms (the run form on a tie):
+//
+//   runs    0x00, var(r), then r pairs var(gap), var(len − 1): a run covers
+//           [start, start + len) with start = gap + one past the previous
+//           run's last id (0 for the first run);
+//   bitmap  0x01, var(lo), var(span), ⌈span/8⌉ bytes: bit i of byte b
+//           (least significant first) puts lo + 8b + i in the set; bits at
+//           or past span are ignored.
+//
+// var() is the codec's LEB128 varint (src/common/codec.hpp). The form and
+// every byte are a pure function of the set, so every honest sender of one
+// set emits the same bytes — BankCache::canonical's sharing holds. Runs are
+// strictly ascending by construction, so no code can name a slot twice: a
+// decoded set never holds a repeat.
+//
+// Decoding is bounded by the plane's K, not by the payload: a run or bitmap
+// is clipped to [0, K) arithmetically, so a set never yields more than K
+// ids and an id ≥ K is skipped on its own (README: an entry that decodes but
+// fails validation is skipped individually) without costing a loop step. A
+// batch yields at most 3K ids across its groups (each slot once per
+// INIT/ECHO/READY) and an SBA vector at most K; past that the rest is a
+// framing error. Framing errors — a truncated field, an unknown tag, an
+// over-long varint — drop what they always dropped: an Acast batch keeps its
+// groups before the first malformed one, an SBA vector is dropped whole.
+//
+// Receiver order. Receivers walk each group's slots ascending (before the
+// set code, in the sender's first-appearance order). No output depends on
+// that order: one batch is one delivery event, each slot's Bracha
+// transition (Cohort::apply) reads and writes only that slot's tallies, and
+// an SBA vector is expanded per slot before any phase-king rule reads it.
+// What the order does fix is the order of the per-slot handler calls inside
+// that one event. Honest senders already listed slots ascending in every
+// golden and workload, so no output, tick, message or event count moved.
 // ---------------------------------------------------------------------------
 namespace bcwire {
+
+/// The slot-id space: ids are u32, so a plane has at most 2^32 slots. A
+/// decoder given K = kMaxSlots clips nothing.
+inline constexpr std::uint64_t kMaxSlots = std::uint64_t{1} << 32;
+
+/// Bytes put_slot_set writes for `slots` (sorted ascending in place, only
+/// when it is not already, and repeats dropped).
+std::size_t slot_set_size(std::vector<std::uint32_t>& slots);
+/// Appends `slots` (normalized in place as above) in its shorter form.
+void put_slot_set(Writer& w, std::vector<std::uint32_t>& slots);
+/// Reads one slot set and appends its ids below K to `out`, ascending.
+/// Throws CodecError on a framing error.
+void get_slot_set(Reader& r, std::uint64_t K, std::vector<std::uint32_t>& out);
 
 /// One (type, value) group of an Acast batch, with the slots it applies to.
 struct AcastGroup {
@@ -92,16 +143,20 @@ struct AcastGroup {
   std::vector<std::uint32_t> slots;
 };
 
-Bytes encode_acast_batch(const std::vector<AcastGroup>& groups);
+/// Layout: u32 group count, then per group u8 type, u32-length-prefixed
+/// value and the slot set.
+Bytes encode_acast_batch(std::vector<AcastGroup> groups);
 
-/// Decodes as far as the batch is well-formed; a malformed suffix (garbled
-/// slot entries from a Byzantine sender) drops only the groups from the
-/// first malformed one onwards — earlier groups still apply.
-std::vector<AcastGroup> decode_acast_batch(const Bytes& b);
+/// Decodes as far as the batch is well-formed for a plane of K slots; a
+/// malformed suffix (garbled slot entries from a Byzantine sender) drops only
+/// the groups from the first malformed one onwards — earlier groups still
+/// apply.
+std::vector<AcastGroup> decode_acast_batch(const Bytes& b, std::uint64_t K);
 
 /// One shared-SBA round message: phase k, explicit value groups, and a
 /// default value covering every slot not named by a group (first-covering
-/// group wins on Byzantine duplicates).
+/// group wins on Byzantine duplicates). Layout: u32 k, u32 group count, per
+/// group the u32-length-prefixed value and the slot set, then the default.
 struct SbaMsg {
   std::uint32_t k = 0;
   struct Group {
@@ -112,10 +167,10 @@ struct SbaMsg {
   Bytes def;
 };
 
-Bytes encode_sba(const SbaMsg& m);
-/// All-or-nothing: a malformed SBA vector is dropped wholesale (the per-pair
-/// equivalent of one garbled vote message).
-std::optional<SbaMsg> decode_sba(const Bytes& b);
+Bytes encode_sba(SbaMsg m);
+/// All-or-nothing for a schedule of K slots: a malformed SBA vector is
+/// dropped wholesale (the per-pair equivalent of one garbled vote message).
+std::optional<SbaMsg> decode_sba(const Bytes& b, std::uint64_t K);
 
 }  // namespace bcwire
 

@@ -16,6 +16,18 @@ std::uint8_t Reader::u8() {
   return buf_[pos_++];
 }
 
+std::uint64_t Reader::var() {
+  std::uint64_t v = 0;
+  for (int shift = 0; shift < 64; shift += 7) {
+    const std::uint8_t b = u8();
+    // The tenth byte holds bit 63 only.
+    if (shift == 63 && b > 1) throw CodecError("varint overflows 64 bits");
+    v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
+    if (!(b & 0x80)) return v;
+  }
+  throw CodecError("varint longer than ten bytes");
+}
+
 Bytes Reader::bytes() {
   std::uint32_t len = u32();
   need(len);

@@ -4,6 +4,10 @@
 //
 // Multi-byte integers are little-endian on the wire. The host is required to
 // be little-endian too, so every word is one memcpy rather than a shift loop.
+// Small counts and offsets whose size varies (slot ids, gaps, run lengths)
+// go out as LEB128 varints: seven bits per byte, low group first, the high
+// bit set on every byte but the last — one byte for 0..127, at most ten for
+// a 64-bit value.
 #pragma once
 
 #include <bit>
@@ -36,6 +40,14 @@ class Writer {
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u32(std::uint32_t v) { put(&v, sizeof v); }
   void u64(std::uint64_t v) { put(&v, sizeof v); }
+  /// LEB128 varint of var_size(v) bytes.
+  void var(std::uint64_t v) {
+    for (; v >= 0x80; v >>= 7) buf_.push_back(static_cast<std::uint8_t>(v | 0x80));
+    buf_.push_back(static_cast<std::uint8_t>(v));
+  }
+  static std::size_t var_size(std::uint64_t v) {
+    return (static_cast<std::size_t>(std::bit_width(v | 1)) + 6) / 7;
+  }
   /// Length-prefixed byte string.
   void bytes(const Bytes& b);
   /// Length-prefixed vector of u64 words (used for field elements).
@@ -75,6 +87,9 @@ class Reader {
   std::uint8_t u8();
   std::uint32_t u32() { return get<std::uint32_t>(); }
   std::uint64_t u64() { return get<std::uint64_t>(); }
+  /// LEB128 varint. Throws on truncation, on more than ten bytes and on a
+  /// value past 64 bits; a redundant (zero-padded) encoding is accepted.
+  std::uint64_t var();
   Bytes bytes();
   std::vector<std::uint64_t> u64s();
   /// `k` words with no length prefix, copied into `out`.
@@ -84,6 +99,14 @@ class Reader {
     if (k == 0) return;  // `out` may be null; memcpy must not see it
     std::memcpy(out, buf_.data() + pos_, 8 * k);
     pos_ += 8 * k;
+  }
+
+  /// The next `k` bytes in place (valid while the buffer lives), skipped.
+  const std::uint8_t* view(std::size_t k) {
+    need(k);
+    const std::uint8_t* p = buf_.data() + pos_;
+    pos_ += k;
+    return p;
   }
 
   bool exhausted() const { return pos_ == buf_.size(); }

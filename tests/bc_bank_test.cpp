@@ -14,6 +14,8 @@
 // per slot and identical final values for honest senders.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/bcast/bc_bank.hpp"
 #include "src/sim/adversary_zoo.hpp"
 #include "tests/harness.hpp"
@@ -341,16 +343,22 @@ class BankEquivocator : public Adversary {
   bool filter_outgoing(Msg& m, Rng&) override {
     const std::string& r = route_name(m);
     if (m.type != AcastBank::kBatch || !r.ends_with("/acast")) return true;
-    auto groups = bcwire::decode_acast_batch(m.body);
+    auto groups = bcwire::decode_acast_batch(m.body, bcwire::kMaxSlots);
     bool changed = false;
     for (auto& g : groups) {
       if (g.type != AcastBank::kInit || g.value.empty()) continue;
       g.value[0] = static_cast<std::uint8_t>(m.to & 1);
       changed = true;
     }
-    if (changed) m.body = bcwire::encode_acast_batch(groups);
+    if (!changed) return true;
+    m.body = bcwire::encode_acast_batch(groups);
+    ++rewritten_;
     return true;
   }
+  int rewritten() const { return rewritten_; }
+
+ private:
+  int rewritten_ = 0;
 };
 
 TEST(BcBank, SyncByzantineEquivocatingSenderExactMatch) {
@@ -367,6 +375,7 @@ TEST(BcBank, SyncByzantineEquivocatingSenderExactMatch) {
       });
     wb.sim->run();
     bank.capture_finals(wb, K);
+    EXPECT_GT(badv->rewritten(), 0) << "seed " << seed;  // the attack ran
 
     auto gadv = std::make_shared<GridEquivocator>();
     gadv->corrupt(0);
@@ -402,7 +411,7 @@ class SlotEntryGarbler : public Adversary {
   bool participates(int) const override { return true; }
   bool filter_outgoing(Msg& m, Rng&) override {
     if (m.type != AcastBank::kBatch) return true;
-    auto groups = bcwire::decode_acast_batch(m.body);
+    auto groups = bcwire::decode_acast_batch(m.body, bcwire::kMaxSlots);
     bool changed = false;
     for (auto& g : groups)
       for (auto& s : g.slots)
@@ -410,12 +419,16 @@ class SlotEntryGarbler : public Adversary {
           s = 0xFFFF;  // out-of-range slot id: the entry is dropped, the rest stand
           changed = true;
         }
-    if (changed) m.body = bcwire::encode_acast_batch(groups);
+    if (!changed) return true;
+    m.body = bcwire::encode_acast_batch(groups);
+    ++rewritten_;
     return true;
   }
+  int rewritten() const { return rewritten_; }
 
  private:
   std::uint32_t victim_;
+  int rewritten_ = 0;
 };
 
 TEST(BcBank, GarbledSlotEntryInsideBatchLeavesSiblingSlotsIntact) {
@@ -436,6 +449,7 @@ TEST(BcBank, GarbledSlotEntryInsideBatchLeavesSiblingSlotsIntact) {
     });
   w.sim->run();
   bank.capture_finals(w, K);
+  EXPECT_GT(adv->rewritten(), 0);  // the attack ran
 
   for (int p = 0; p < n; ++p)
     for (int s = 0; s < K; ++s) {
@@ -460,12 +474,27 @@ TEST(BcBank, TruncatedBatchSalvagesWellFormedPrefixGroups) {
     bool participates(int) const override { return true; }
     bool filter_outgoing(Msg& m, Rng&) override {
       if (m.type != AcastBank::kBatch) return true;
-      auto groups = bcwire::decode_acast_batch(m.body);
+      auto groups = bcwire::decode_acast_batch(m.body, bcwire::kMaxSlots);
       if (groups.size() < 2 || groups[0].type != AcastBank::kInit) return true;
       Bytes& b = m.body.mutable_bytes();
-      b.resize(b.size() - 2);  // chop into the last group's slot list
+      // The last group's slot set is the batch's last field; the chop must
+      // fall inside it.
+      Writer set;
+      bcwire::put_slot_set(set, groups.back().slots);
+      const Bytes& tail = set.data();
+      if (tail.size() > kChop && b.size() >= tail.size() &&
+          std::equal(tail.begin(), tail.end(), b.end() - static_cast<std::ptrdiff_t>(tail.size())))
+        ++inside_set_;
+      b.resize(b.size() - kChop);
+      ++chopped_;
       return true;
     }
+    int chopped() const { return chopped_; }
+    int inside_set() const { return inside_set_; }
+
+   private:
+    const std::size_t kChop = 2;
+    int chopped_ = 0, inside_set_ = 0;
   };
   const int n = 4, ts = 1;
   const std::vector<int> senders{1, 1};  // two slots, both sender 1
@@ -479,6 +508,8 @@ TEST(BcBank, TruncatedBatchSalvagesWellFormedPrefixGroups) {
   });
   w.sim->run();
   bank.capture_finals(w, 2);
+  EXPECT_GT(adv->chopped(), 0);  // the attack ran
+  EXPECT_EQ(adv->inside_set(), adv->chopped());
 
   for (int p = 0; p < n; ++p) {
     ASSERT_TRUE(bank.rec.at(p, 0).regular) << p;
@@ -487,6 +518,65 @@ TEST(BcBank, TruncatedBatchSalvagesWellFormedPrefixGroups) {
     ASSERT_TRUE(bank.rec.at(p, 1).regular) << p;
     EXPECT_FALSE(*bank.rec.at(p, 1).regular) << p;  // truncated INIT never landed
   }
+}
+
+// ---- a forged run that names 2^32 − 1 slots -------------------------------
+
+/// Appends to every Acast batch its party sends one more ECHO group, for a
+/// value no honest party holds, whose slot set is the single run
+/// [0, 2^32 − 1): eight bytes of code that would be 16 GB of ids if a
+/// receiver expanded them unclipped.
+class RunBomb : public Adversary {
+ public:
+  bool participates(int) const override { return true; }
+  bool filter_outgoing(Msg& m, Rng&) override {
+    if (m.type != AcastBank::kBatch) return true;
+    Bytes& b = m.body.mutable_bytes();
+    std::uint32_t groups = 0;  // the batch's leading u32 group count
+    std::memcpy(&groups, b.data(), sizeof groups);
+    ++groups;
+    std::memcpy(b.data(), &groups, sizeof groups);
+    Writer w;
+    w.u8(AcastBank::kEcho);
+    w.bytes(Bytes{0xBA, 0xD0});
+    w.u8(0x00);         // run form
+    w.var(1);           // one run,
+    w.var(0);           // from slot 0,
+    w.var(0xFFFFFFFE);  // of length 2^32 − 1
+    b.insert(b.end(), w.data().begin(), w.data().end());
+    ++sent_;
+    return true;
+  }
+  int sent() const { return sent_; }
+
+ private:
+  int sent_ = 0;
+};
+
+TEST(BcBank, ForgedHugeRunIsClippedAndChangesNoOutput) {
+  // Receivers clip the run to the plane's K slots; one corrupt ECHO per
+  // slot reaches no threshold, so every party's per-slot record — outputs
+  // and ticks — matches the run without the attack.
+  const int n = 4, ts = 1, K = n * n;
+  auto senders = grid_senders(n);
+  auto run = [&](std::shared_ptr<Adversary> adv) {
+    auto w = make_world(n, ts, 0, NetMode::kSynchronous, std::move(adv));
+    auto bank = std::make_unique<BankRun>(w, senders, 0);
+    for (int i = 0; i < n; ++i)
+      w.party(i).at(0, [&bank, i, n] {
+        for (int j = 0; j < n; ++j)
+          bank->inst[static_cast<std::size_t>(i)]->broadcast(i * n + j, slot_value(i * n + j));
+      });
+    w.sim->run();
+    bank->capture_finals(w, K);
+    return std::move(bank->rec);
+  };
+  auto bomb = std::make_shared<RunBomb>();
+  bomb->corrupt(1);
+  const Records attacked = run(bomb);
+  EXPECT_GT(bomb->sent(), 0);  // the attack ran
+  const Records clean = run(nullptr);
+  expect_identical(attacked, clean, n, K, "run bomb");
 }
 
 // ---- async: semantic differential -----------------------------------------
@@ -1100,7 +1190,7 @@ class ScheduleEquivocator : public Adversary {
     const std::string& r = route_name(m);
     if (r.compare(r.rfind('/') + 1, 3, "sba") != 0) return true;
     if (m.to == 0) {
-      auto vote = bcwire::decode_sba(m.body);
+      auto vote = bcwire::decode_sba(m.body, bcwire::kMaxSlots);
       if (!vote) return true;
       vote->groups.clear();
       vote->def = Bytes{0x01, 0xEE};

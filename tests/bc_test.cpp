@@ -117,7 +117,7 @@ TEST(Bc, SyncConsistencyCorruptEquivocatingSender) {
     bool participates(int) const override { return true; }
     bool filter_outgoing(Msg& m, Rng&) override {
       if (m.type != AcastBank::kBatch || route_name(m) != "bc/acast") return true;
-      auto groups = bcwire::decode_acast_batch(m.body);
+      auto groups = bcwire::decode_acast_batch(m.body, bcwire::kMaxSlots);
       bool changed = false;
       for (auto& g : groups) {
         if (g.type != AcastBank::kInit || g.value.empty()) continue;
@@ -153,7 +153,7 @@ TEST(Bc, AsyncFallbackConsistencyCorruptSender) {
     bool participates(int) const override { return true; }
     bool filter_outgoing(Msg& m, Rng&) override {
       if (m.to != 2 || m.type != AcastBank::kBatch || route_name(m) != "bc/acast") return true;
-      auto groups = bcwire::decode_acast_batch(m.body);
+      auto groups = bcwire::decode_acast_batch(m.body, bcwire::kMaxSlots);
       bool changed = false;
       for (auto& g : groups) {
         if (g.type != AcastBank::kInit || g.value.empty()) continue;
@@ -205,7 +205,7 @@ TEST(Bc, SyncConsistencyWhenNonKingForgesKingVectors) {
       const std::string& name = route_name(msg);
       if (msg.type != SbaBank::kVote2 || name.compare(name.rfind('/') + 1, 3, "sba") != 0)
         return true;
-      auto vote = bcwire::decode_sba(msg.body);
+      auto vote = bcwire::decode_sba(msg.body, bcwire::kMaxSlots);
       if (!vote) return true;
       ++forged_;
       bcwire::SbaMsg king;

@@ -128,7 +128,7 @@ class NokSpammer : public Adversary {
     if (m.type != AcastBank::kBatch || !route_name(m).ends_with("/plane/acast")) return true;
     std::vector<bcwire::AcastGroup> out;
     bool changed = false;
-    for (auto& g : bcwire::decode_acast_batch(m.body)) {
+    for (auto& g : bcwire::decode_acast_batch(m.body, bcwire::kMaxSlots)) {
       if (g.type == AcastBank::kInit && g.value == Bytes{1}) {
         auto grid_end = std::stable_partition(g.slots.begin(), g.slots.end(),
                                               [this](std::uint32_t s) { return s < ok_slots_; });

@@ -9,7 +9,10 @@
 // tests/reference/legacy_vssplanes.hpp keeps the one-bank-per-group
 // reference), and every bank of a run starting together rides one run-wide
 // SBA schedule per start tick, so the communication/event counts below are
-// re-pinned on that transport. What must NOT move versus the frozen per-pair path
+// re-pinned on that transport. The bank names its slots by sets in
+// bcwire's compact code (src/bcast/bc_bank.hpp), so only the bit counts
+// below moved when that code replaced 4-byte slot ids; messages, events,
+// outputs and ticks did not. What must NOT move versus the frozen per-pair path
 // (tests/reference/legacy_bcgrid.hpp, captured by the PR 4 pins):
 //   * every party's output and input_cs, in every scenario;
 //   * synchronous finish times and end time — the bank flushes at exactly
@@ -98,7 +101,7 @@ TEST(GoldenTrace, SumAllN4SyncSeed1) {
            {26, 26, 26, 26},
            {117000, 117000, 117000, 117000},
            {0, 1, 2, 3},
-           8066688,
+           4831488,
            23664,
            32000,
            117000};
@@ -120,7 +123,7 @@ TEST(GoldenTrace, PairwiseN4SyncCrash3Seed7) {
            {50, 50, 50, std::nullopt},
            {122000, 122000, 122000, 0},
            {0, 1, 2},
-           5705216,
+           3064768,
            15364,
            20482,
            122000};
@@ -143,7 +146,7 @@ TEST(GoldenTrace, SumAllN5AsyncCrash2Seed3) {
            {32, 32, std::nullopt, 32, 32},
            {134804, 135761, 0, 135519, 136080},
            {0, 1, 3, 4},
-           16572520,
+           12629560,
            59495,
            75653,
            137879};
@@ -503,7 +506,7 @@ TEST(Truncation, BudgetStopIsFlaggedNotSilent) {
     EXPECT_TRUE(res.truncated) << threads;
     EXPECT_EQ(res.events, 5000u) << threads;  // stops on exactly the budget
     EXPECT_EQ(res.honest_msgs, 2816u) << threads;
-    EXPECT_EQ(res.honest_bits, 2024960u) << threads;
+    EXPECT_EQ(res.honest_bits, 994816u) << threads;
     EXPECT_EQ(res.end_time, Tick{5000}) << threads;
     EXPECT_FALSE(res.outputs[0].has_value()) << threads;
   }

@@ -306,9 +306,11 @@ TEST(Vss, OneSchedulePlanePerSharing) {
 TEST(Vss, AsyncHonestDealerEventualCorrectness) {
   const int n = 5, ts = 1, ta = 1, L = 1;
   // Decode-cache hits/misses per seed: divergent async delivery splits the
-  // cohorts, so the miss share is far above the synchronous one.
-  const std::uint64_t cache_hits[] = {1214, 1295, 1278};
-  const std::uint64_t cache_misses[] = {941, 1030, 1024};
+  // cohorts, so the miss share is far above the synchronous one. Batches
+  // that name the same slots in a different order share bytes, since the
+  // wire sorts every slot set.
+  const std::uint64_t cache_hits[] = {1217, 1298, 1283};
+  const std::uint64_t cache_misses[] = {938, 1027, 1019};
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     auto w = make_world(n, ts, ta, NetMode::kAsynchronous, test::crash({3}), seed);
     VssRun run(w, 0, L, 0);
