@@ -58,13 +58,14 @@ Sample run_vss(int n, NetMode mode, Tick dealer_delay, std::uint64_t seed, int L
 /// One full ΠVSS sharing at production scale on the given executor thread
 /// count. Also reports the schedule-plane shape: how many shared Acast
 /// states and SBA schedules one sharing registered (independent per-group
-/// banks would pay 4n+4 of each), the total honest message count and the
-/// decode-cache hit rate.
+/// banks would pay 4n+4 of each), its ΠABA planes, the total honest message
+/// count and the decode-cache hit rate.
 struct BigSample {
   double wall_ms = 0;
   int outputs = 0;
   int plane_acasts = 0;
   int sba_schedules = 0;
+  int aba_planes = 0;
   double msgs = 0;
   double decode_hit_rate = 0;
 };
@@ -93,6 +94,7 @@ BigSample run_vss_big(int n, int threads, std::uint64_t seed) {
   // the party's run-wide ones, one per start tick (plane/sba:T).
   s.plane_acasts = test::count_banks(*w.sim, "/plane/").acast;
   s.sba_schedules = test::count_banks(*w.sim, "plane/sba").sba;
+  s.aba_planes = test::count_banks(*w.sim).aba;
   s.msgs = static_cast<double>(w.sim->metrics().honest_msgs());
   const auto& cs = w.sim->decode_cache_stats();
   const double hits = static_cast<double>(cs.hits.load());
@@ -220,18 +222,22 @@ int main(int argc, char** argv) {
   // deterministic.
   std::printf("\nn = 64 sharing (sync, honest dealer) — the VSS schedule plane\n");
   bench::rule();
-  std::printf("%10s | %8s | %7s | %9s | %10s | %10s\n", "wall ms", "outputs", "acasts",
-              "SBA scheds", "msgs", "cache hit");
+  std::printf("%10s | %8s | %7s | %9s | %10s | %10s | %10s\n", "wall ms", "outputs", "acasts",
+              "SBA scheds", "ABA planes", "msgs", "cache hit");
   bench::rule();
   const BigSample big = run_vss_big(64, 1, 5);
-  std::printf("%10.0f | %8d | %7d | %9d | %10.3g | %9.1f%%\n", big.wall_ms, big.outputs,
-              big.plane_acasts, big.sba_schedules, big.msgs, 100 * big.decode_hit_rate);
+  std::printf("%10.0f | %8d | %7d | %10d | %10d | %10.3g | %9.1f%%\n", big.wall_ms, big.outputs,
+              big.plane_acasts, big.sba_schedules, big.aba_planes, big.msgs,
+              100 * big.decode_hit_rate);
   bench::rule();
   metrics.push_back({"vss_wall_ms_n64", big.wall_ms});
   metrics.push_back({"vss_n64_ok_banks_delta", static_cast<double>(big.plane_acasts)});
   // Structural count, pinned EXACTLY in CI (--pin): one SBA schedule per
   // distinct layer start time of a sharing — seven, independent of n.
   metrics.push_back({"vss_n64_sba_schedules", static_cast<double>(big.sba_schedules)});
+  // Also pinned: one ΠABA plane (plane/at:T/aba) per distinct ΠBA start of
+  // a sharing — the dealer's ΠBA and the n child ΠWPS ΠBAs.
+  metrics.push_back({"vss_n64_aba_planes", static_cast<double>(big.aba_planes)});
   metrics.push_back({"vss_n64_msgs_per_sharing", big.msgs});
   metrics.push_back({"vss_n64_decode_hit_rate", big.decode_hit_rate});
 

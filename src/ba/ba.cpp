@@ -6,7 +6,8 @@ Ba::Ba(Party& party, const Addr& addr, const Ctx& ctx, Tick start_time, Handler 
        BcBank* bc_bank, int bc_group)
     : party_(party), ctx_(ctx), start_(start_time), on_decide_(std::move(on_decide)),
       bc_(bc_bank), bc_group_(bc_group) {
-  const RouteId route = party_.sim().routes().resolve(addr);
+  RouteTable& routes = party_.sim().routes();
+  const RouteId route = routes.resolve(addr);
   regular_bits_.assign(static_cast<std::size_t>(ctx_.n), std::nullopt);
   if (!bc_) {
     std::vector<int> senders(static_cast<std::size_t>(ctx_.n));
@@ -19,10 +20,10 @@ Ba::Ba(Party& party, const Addr& addr, const Ctx& ctx, Tick start_time, Handler 
     bc_ = bc_bank_.get();
     bc_group_ = 0;
   }
-  aba_ = std::make_unique<Aba>(party_, Addr(route, "aba"), ctx_.ts, *ctx_.coin,
-                               [this](bool b) {
-                                 if (on_decide_) on_decide_(b);
-                               });
+  aba_ = &AbaBank::at_tick(party_, start_ + ctx_.T.t_bc, ctx_);
+  aba_seat_ = aba_->enroll(route, routes.path_hash(routes.child(route, "aba")), [this](bool b) {
+    if (on_decide_) on_decide_(b);
+  });
   party_.at(start_, [this] {
     if (input_ && !input_broadcast_) {
       input_broadcast_ = true;
@@ -69,7 +70,7 @@ void Ba::enter_aba() {
   } else {
     v = *input_;
   }
-  aba_->start(v);
+  aba_->start(aba_seat_, v);
 }
 
 }  // namespace bobw

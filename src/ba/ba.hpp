@@ -10,8 +10,9 @@
 //
 // Inputs may be supplied after the scheduled start (ΠACS joins some BA
 // instances late, with input 0); such a party broadcasts late (its BC lands
-// in fallback mode, invisible to regular-mode readers) and evaluates the
-// R-rule from the already-recorded regular outputs.
+// in fallback mode, invisible to regular-mode readers), evaluates the
+// R-rule from the already-recorded regular outputs and starts its ΠABA slot
+// late (the slot has tallied the plane's traffic since T0+T_BC).
 #pragma once
 
 #include <functional>
@@ -37,9 +38,12 @@ class Ba {
   /// forwarding into on_input_bc(); the instance then only *sends* through
   /// the shared bank. Either way the bank's SBA rides the party's run-wide
   /// schedule for start_time + 3Δ, with every other ΠBA input bank of the
-  /// same start (the n ΠBAs of a ΠACS vote share one), while the ΠABA stays
-  /// per-instance. `addr` is an interior route: the ΠABA lives at addr/aba,
-  /// a standalone bank at addr/bc.
+  /// same start (the n ΠBAs of a ΠACS vote share one), and the ΠABA is one
+  /// slot on the party's ΠABA plane for start_time + T_BC
+  /// (AbaBank::at_tick), with every other ΠABA of that start. `addr` is an
+  /// interior route: a standalone bank lives at addr/bc, and the ΠABA is
+  /// named addr/aba (an interior route too), whose path hash is the slot's
+  /// coin key.
   Ba(Party& party, const Addr& addr, const Ctx& ctx, Tick start_time, Handler on_decide,
      BcBank* bc_bank = nullptr, int bc_group = 0);
 
@@ -51,8 +55,8 @@ class Ba {
   void on_input_bc(int j, const std::optional<Bytes>& v, bool fallback);
 
   bool has_input() const { return input_.has_value(); }
-  bool decided() const { return aba_->decided(); }
-  bool value() const { return aba_->value(); }
+  bool decided() const { return aba_->decided(aba_seat_); }
+  bool value() const { return aba_->value(aba_seat_); }
 
  private:
   void at_deadline();
@@ -68,7 +72,9 @@ class Ba {
   std::unique_ptr<BcBank> bc_bank_;
   BcBank* bc_ = nullptr;
   int bc_group_ = 0;
-  std::unique_ptr<Aba> aba_;
+  // The ΠABA is one seat on the party's plane for start_time + T_BC.
+  AbaBank* aba_ = nullptr;
+  int aba_seat_ = 0;
   std::optional<bool> input_;
   bool input_broadcast_ = false;
   bool deadline_passed_ = false;

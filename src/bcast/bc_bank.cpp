@@ -289,16 +289,14 @@ void AcastBank::on_message(const Msg& m) {
 // ---------------------------------------------------------------- SbaBank ---
 
 SbaBank& SbaBank::at_tick(Party& party, Tick start_time, const Ctx& ctx) {
-  if (start_time > static_cast<Tick>(std::numeric_limits<int>::max()))
-    throw std::out_of_range("SbaBank: start tick beyond the route index range");
-  const Addr addr(party.sim().routes().intern("plane"), "sba", static_cast<int>(start_time));
-  if (auto* found = dynamic_cast<SbaBank*>(party.instance(party.sim().routes().resolve(addr)))) {
+  if (SbaBank* found = party.per_tick<SbaBank>(start_time)) {
     if (found->t_ != ctx.ts) throw std::logic_error("SbaBank: banks disagree on t");
     return *found;
   }
-  auto sba = std::make_shared<SbaBank>(party, addr, ctx, start_time);
-  party.own(sba);
-  return *sba;
+  if (start_time > static_cast<Tick>(std::numeric_limits<int>::max()))
+    throw std::out_of_range("SbaBank: start tick beyond the route index range");
+  const Addr addr(party.sim().routes().intern("plane"), "sba", static_cast<int>(start_time));
+  return party.keep_per_tick(start_time, std::make_shared<SbaBank>(party, addr, ctx, start_time));
 }
 
 SbaBank::SbaBank(Party& party, const Addr& addr, const Ctx& ctx, Tick start_time)

@@ -12,11 +12,14 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
+#include <typeindex>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.hpp"
@@ -72,10 +75,6 @@ class Party {
   void send_all(const std::string& inst, int type, const Bytes& body);
 
   void register_instance(Instance* inst);
-  /// The instance registered on `route` on this party, or null.
-  Instance* instance(RouteId route) const {
-    return route < by_route_.size() ? by_route_[route] : nullptr;
-  }
   void unregister_instance(RouteId route);
   void deliver(const Msg& m);
 
@@ -84,9 +83,25 @@ class Party {
   void halt() { halted_ = true; }
   bool halted() const { return halted_; }
 
-  /// Root-level session objects and the run-wide SBA schedules owned by
-  /// this party (keeps them alive for the duration of the run).
+  /// Root-level session objects owned by this party (keeps them alive for
+  /// the duration of the run).
   void own(std::shared_ptr<void> session) { owned_.push_back(std::move(session)); }
+
+  /// The run-wide object of type T this party keeps for start tick `t` (its
+  /// SBA schedule or ΠABA plane for t), or null. Every protocol object of
+  /// that start looks it up here, so the lookup resolves no route.
+  template <class T>
+  T* per_tick(Tick t) const {
+    const auto it = per_tick_.find({std::type_index(typeid(T)), t});
+    return it == per_tick_.end() ? nullptr : static_cast<T*>(it->second.get());
+  }
+  /// Keeps `obj` as this party's T for tick `t` until the party ends.
+  template <class T>
+  T& keep_per_tick(Tick t, std::shared_ptr<T> obj) {
+    T& kept = *obj;
+    per_tick_.emplace(std::pair{std::type_index(typeid(T)), t}, std::move(obj));
+    return kept;
+  }
 
   /// Window-executor capture hooks. While a window is active, send/at record
   /// into the thread-confined outbox (src/sim/outbox.hpp) instead of
@@ -105,6 +120,7 @@ class Party {
   std::vector<Instance*> by_route_;
   std::unordered_map<RouteId, std::vector<Msg>> pending_;
   std::vector<std::shared_ptr<void>> owned_;
+  std::map<std::pair<std::type_index, Tick>, std::shared_ptr<void>> per_tick_;
 };
 
 class Sim {

@@ -1,22 +1,34 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 #include <set>
 #include <string>
 
 #include "src/ba/aba.hpp"
 #include "src/ba/ba.hpp"
+#include "src/bcast/bc_bank.hpp"
 #include "tests/harness.hpp"
 
 namespace bobw {
+
+// The printed parameter names the ctest id: BothNetworks/AbaModeSweep.X/Sync
+// and .../Async (gtest_discover_tests names a numbered parameter by its
+// printed value; a named one would keep gtest's "# GetParam() = ..." tail).
+void PrintTo(NetMode mode, std::ostream* os) {
+  *os << (mode == NetMode::kSynchronous ? "Sync" : "Async");
+}
+
 namespace {
 
 using test::make_world;
 
 // ---------------------------------------------------------------- ΠABA ----
 
+/// One one-slot ΠABA plane per party on the route "aba", starting at tick 0;
+/// the slot's coin key is the route's path hash.
 struct AbaRun {
-  std::vector<std::unique_ptr<Aba>> inst;
+  std::vector<std::unique_ptr<AbaBank>> inst;
   std::vector<std::optional<bool>> decided;
   std::vector<Tick> decide_time;
 
@@ -29,11 +41,13 @@ struct AbaRun {
       if (!w.runs_code(i)) continue;
       auto* world = &w;
       int idx = i;
-      inst[static_cast<std::size_t>(i)] = std::make_unique<Aba>(
-          w.party(i), "aba", t, *w.coin, [this, idx, world](bool b) {
-            decided[static_cast<std::size_t>(idx)] = b;
-            decide_time[static_cast<std::size_t>(idx)] = world->sim->now();
-          });
+      auto& bank = inst[static_cast<std::size_t>(i)];
+      bank = std::make_unique<AbaBank>(w.party(i), "aba", t, *w.coin, 0);
+      bank->enroll(bank->route(), w.sim->routes().path_hash(bank->route()),
+                   [this, idx, world](bool b) {
+                     decided[static_cast<std::size_t>(idx)] = b;
+                     decide_time[static_cast<std::size_t>(idx)] = world->sim->now();
+                   });
     }
   }
 
@@ -42,7 +56,7 @@ struct AbaRun {
       if (!inst[static_cast<std::size_t>(i)]) continue;
       auto* I = inst[static_cast<std::size_t>(i)].get();
       bool b = inputs[static_cast<std::size_t>(i)];
-      w.party(i).at(at, [I, b] { I->start(b); });
+      w.party(i).at(at, [I, b] { I->start(0, b); });
     }
   }
 };
@@ -127,13 +141,19 @@ TEST(Aba, ExecutionQuiescesAfterDecision) {
   for (int i = 0; i < 4; ++i) ASSERT_TRUE(run.decided[static_cast<std::size_t>(i)]);
 }
 
-/// Byzantine ABA attacker: sends conflicting EST/AUX for both bits.
+/// Byzantine ΠABA attacker: every EST/AUX it sends carries, per slot, the
+/// flipped bit with probability 1/2, so it speaks for both bits.
 class AbaDoubleTalker : public Adversary {
  public:
   bool participates(int) const override { return true; }
   bool filter_outgoing(Msg& m, Rng& rng) override {
-    if ((m.type == Aba::kEst || m.type == Aba::kAux) && !m.body.empty() && rng.next_bool())
-      m.body.mutable_bytes()[4] ^= 1;  // flip the bit field
+    std::vector<abawire::Group> out;
+    for (auto& g : abawire::decode(m.body, bcwire::kMaxSlots))
+      for (std::uint32_t s : g.slots) {
+        const bool flip = g.type != AbaBank::kDecided && rng.next_bool();
+        out.push_back(abawire::Group{g.type, g.round, g.value != flip, {s}});
+      }
+    m.body = Payload(abawire::encode(std::move(out)));
     return true;
   }
 };

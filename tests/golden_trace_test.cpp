@@ -12,7 +12,11 @@
 // re-pinned on that transport. The bank names its slots by sets in
 // bcwire's compact code (src/bcast/bc_bank.hpp), so only the bit counts
 // below moved when that code replaced 4-byte slot ids; messages, events,
-// outputs and ticks did not. What must NOT move versus the frozen per-pair path
+// outputs and ticks did not. Every ΠABA of one start tick rides one plane
+// message per party per tick (src/ba/aba.hpp), so the sync messages, bits
+// and events below are re-pinned on that transport; outputs, input_cs,
+// finish ticks and end ticks did not move.
+// What must NOT move versus the frozen per-pair path
 // (tests/reference/legacy_bcgrid.hpp, captured by the PR 4 pins):
 //   * every party's output and input_cs, in every scenario;
 //   * synchronous finish times and end time — the bank flushes at exactly
@@ -20,7 +24,9 @@
 //     round-crisp schedule is tick-identical (the sync values below are
 //     byte-for-byte the PR 4 per-pair values);
 //   * async finish times stay within the same protocol deadlines (exact
-//     ticks shift: fewer messages consume a different delay-RNG stream).
+//     ticks shift: fewer messages consume a different delay-RNG stream —
+//     a ΠABA plane draws one delay per party per tick where each ΠABA
+//     instance drew its own, so every later draw moved).
 // The per-slot decision equivalence itself is pinned by tests/bc_bank_test.
 //
 // The same file carries the message-plane semantics tests the refactor must
@@ -101,9 +107,9 @@ TEST(GoldenTrace, SumAllN4SyncSeed1) {
            {26, 26, 26, 26},
            {117000, 117000, 117000, 117000},
            {0, 1, 2, 3},
-           4831488,
-           23664,
-           32000,
+           3505408,
+           10864,
+           19280,
            117000};
   expect_golden(g);
 }
@@ -123,9 +129,9 @@ TEST(GoldenTrace, PairwiseN4SyncCrash3Seed7) {
            {50, 50, 50, std::nullopt},
            {122000, 122000, 122000, 0},
            {0, 1, 2},
-           3064768,
-           15364,
-           20482,
+           2207104,
+           6868,
+           12070,
            122000};
   expect_golden(g);
 }
@@ -144,12 +150,12 @@ TEST(GoldenTrace, SumAllN5AsyncCrash2Seed3) {
            }(),
            circuits::sum_all(5),
            {32, 32, std::nullopt, 32, 32},
-           {134804, 135761, 0, 135519, 136080},
+           {136236, 135080, 0, 136180, 135486},
            {0, 1, 3, 4},
-           12629560,
-           59495,
-           75653,
-           137879};
+           10444240,
+           39045,
+           55588,
+           138434};
   expect_golden(g);
 }
 
@@ -334,7 +340,7 @@ TEST(GoldenFuzzScenarios, OnePinnedSeedPerNetProfile) {
        "fuzz_seed=23 kind=vss net=async n=4 ts=1 ta=0 delta=250 "
        "band=[1,2000] tamper=40% corrupt={} sched=partition:1011@heal1000 "
        "run_seed=173430206393098806",
-       "shares=4/4 end=23718"},
+       "shares=4/4 end=23420"},
   };
   for (const auto& pin : pins) {
     const Scenario s = expand_scenario(pin.seed);
@@ -359,7 +365,7 @@ TEST(ParallelDeterminism, FuzzScenarioPinsHoldAtEveryThreadCount) {
   const FuzzGolden pins[] = {
       {9, "", "decided=121 end=12000"},            // bc, sync-crisp, n=12
       {16, "", "shares=6/6 end=78000"},            // vss, sync-jitter, n=7
-      {23, "", "shares=4/4 end=23718"},            // vss, async (executor)
+      {23, "", "shares=4/4 end=23420"},            // vss, async (executor)
   };
   for (const auto& pin : pins) {
     const Scenario s = expand_scenario(pin.seed);

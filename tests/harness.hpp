@@ -3,6 +3,7 @@
 #pragma once
 
 #include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -63,9 +64,11 @@ inline std::shared_ptr<Adversary> crash(std::initializer_list<int> corrupt) {
 /// schedules (a last segment "sba" or "sba:T"). Every BcBank rides the
 /// run-wide schedule of its start tick T, "plane/sba:T", which no bank's
 /// route contains: count those with `within` = "" or "plane/sba". A private
-/// ".../sba" schedule belongs to a frozen reference.
+/// ".../sba" schedule belongs to a frozen reference. `aba` counts the ΠABA
+/// planes, one per distinct ΠABA start tick T at "plane/at:T/aba" (they
+/// keep no shared state, so they are counted from the route table).
 struct BankCount {
-  int acast = 0, sba = 0;
+  int acast = 0, sba = 0, aba = 0;
 };
 inline BankCount count_banks(const Sim& sim, std::string_view within = "") {
   BankCount c;
@@ -74,6 +77,12 @@ inline BankCount count_banks(const Sim& sim, std::string_view within = "") {
     const std::string_view last = std::string_view(name).substr(name.rfind('/') + 1);
     if (last == "acast") ++c.acast;
     if (last == "sba" || last.rfind("sba:", 0) == 0) ++c.sba;
+  }
+  const RouteTable& routes = sim.routes();
+  for (RouteId r = 0; r < routes.size(); ++r) {
+    const std::string& name = routes.name(r);
+    if (name.find(within) == std::string::npos || name.rfind("plane/at:", 0) != 0) continue;
+    if (std::string_view(name).substr(name.rfind('/') + 1) == "aba") ++c.aba;
   }
   return c;
 }

@@ -309,17 +309,18 @@ TEST(AbaLocalCoin, SafetyHoldsWithPrivateCoins) {
     NetConfig net;
     net.mode = NetMode::kAsynchronous;
     Sim sim(4, net, seed, nullptr);
-    std::vector<std::unique_ptr<Aba>> inst;
+    std::vector<std::unique_ptr<AbaBank>> inst;
     std::vector<std::optional<bool>> dec(4);
     for (int i = 0; i < 4; ++i) {
       auto& slot = dec[static_cast<std::size_t>(i)];
-      inst.push_back(std::make_unique<Aba>(sim.party(i), "aba", 1, coin,
-                                           [&slot](bool b) { slot = b; }));
+      inst.push_back(std::make_unique<AbaBank>(sim.party(i), "aba", 1, coin, 0));
+      inst.back()->enroll(inst.back()->route(), sim.routes().path_hash(inst.back()->route()),
+                          [&slot](bool b) { slot = b; });
     }
     for (int i = 0; i < 4; ++i) {
       auto* I = inst[static_cast<std::size_t>(i)].get();
       bool b = i < 2;  // split 2/2
-      sim.party(i).at(0, [I, b] { I->start(b); });
+      sim.party(i).at(0, [I, b] { I->start(0, b); });
     }
     sim.run(~Tick{0}, 5'000'000ULL);
     // The event budget is a deliberate liveness bound: Ben-Or private coins
